@@ -18,7 +18,9 @@ Environment knobs:
 
 * ``REPRO_RUNTIME_BENCH_SCALE`` — suite scale (default 0.1, the CI smoke size).
 * ``REPRO_RUNTIME_BENCH_WORKERS`` — parallel worker count (default 2).
-* ``REPRO_BENCH_OUT`` — output path (default ``BENCH_runtime.json`` in cwd).
+* ``REPRO_BENCH_OUT`` — output path; unset, the payload goes to a temporary
+  directory shared by this module's tests, so a test run never rewrites a
+  tracked file.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.suite import run_suite
 from repro.runtime.atomic import write_atomic_json
 from repro.runtime.runner import ExperimentRunner
 
 BENCH_SCALE = float(os.environ.get("REPRO_RUNTIME_BENCH_SCALE", "0.1"))
 BENCH_WORKERS = int(os.environ.get("REPRO_RUNTIME_BENCH_WORKERS", "2"))
-BENCH_OUT = Path(os.environ.get("REPRO_BENCH_OUT", "BENCH_runtime.json"))
 BENCH_ITERATIONS = 8
 BENCH_SEED = 2025
 
@@ -55,7 +58,16 @@ def _timed_suite(runner):
     return result, time.perf_counter() - start
 
 
-def test_bench_runtime_suite(tmp_path):
+@pytest.fixture(scope="module")
+def bench_out(tmp_path_factory) -> Path:
+    """Where the module's tests accumulate their sections of the payload."""
+    configured = os.environ.get("REPRO_BENCH_OUT")
+    if configured:
+        return Path(configured)
+    return tmp_path_factory.mktemp("bench") / "BENCH_runtime.json"
+
+
+def test_bench_runtime_suite(tmp_path, bench_out):
     cache_dir = tmp_path / "cache"
 
     serial_result, serial_s = _timed_suite(ExperimentRunner(workers=1))
@@ -102,12 +114,12 @@ def test_bench_runtime_suite(tmp_path):
         "jobs_solved_serial": serial_result.runner_stats["jobs_run"],
         "jobs_solved_warm": warm_result.runner_stats["jobs_run"],
     }
-    write_atomic_json(BENCH_OUT, payload, indent=2)
+    write_atomic_json(bench_out, payload, indent=2)
     print(
         f"\nruntime suite @ scale {BENCH_SCALE}: serial {serial_s:.2f}s, "
         f"{BENCH_WORKERS}-worker {parallel_s:.2f}s "
         f"({speedup:.2f}x, {payload['parallel_comparison']}), "
-        f"warm cache {warm_s:.2f}s ({cache_speedup:.2f}x) -> {BENCH_OUT}"
+        f"warm cache {warm_s:.2f}s ({cache_speedup:.2f}x) -> {bench_out}"
     )
 
     # A warm cache must beat re-solving by a wide margin at any scale.
@@ -135,7 +147,7 @@ def _batch_fingerprint(results):
     ]
 
 
-def test_bench_fleet_dispatch(tmp_path):
+def test_bench_fleet_dispatch(tmp_path, bench_out):
     """Fleet section: spool vs local-pool dispatch overhead at equal parallelism.
 
     Times one batch of solves through the local process pool and through the
@@ -188,19 +200,19 @@ def test_bench_fleet_dispatch(tmp_path):
         "fleet_children_spawned": backend.children_spawned,
     }
     try:
-        payload = json.loads(BENCH_OUT.read_text(encoding="utf-8"))
+        payload = json.loads(bench_out.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         payload = {"benchmark": "runtime-suite"}
     payload["fleet"] = fleet
-    write_atomic_json(BENCH_OUT, payload, indent=2)
+    write_atomic_json(bench_out, payload, indent=2)
     print(
         f"\nfleet dispatch @ {num_jobs} jobs x {BENCH_WORKERS} workers: "
         f"local pool {local_s:.2f}s, spool cold {spool_cold_s:.2f}s, "
-        f"spool warm {spool_warm_s:.2f}s -> {BENCH_OUT}"
+        f"spool warm {spool_warm_s:.2f}s -> {bench_out}"
     )
 
 
-def test_bench_service_front_door(tmp_path):
+def test_bench_service_front_door(tmp_path, bench_out):
     """Service section: warm front-door latency vs a cold CLI process.
 
     The service's pitch is amortization: one long-lived runner (warm pool,
@@ -322,17 +334,17 @@ def test_bench_service_front_door(tmp_path):
         "burst_executions": 1,
     }
     try:
-        payload = json.loads(BENCH_OUT.read_text(encoding="utf-8"))
+        payload = json.loads(bench_out.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         payload = {"benchmark": "runtime-suite"}
     payload["service"] = section
-    write_atomic_json(BENCH_OUT, payload, indent=2)
+    write_atomic_json(bench_out, payload, indent=2)
     print(
         f"\nservice front door @ {rows}x{rows}/{iterations} iters: "
         f"cold CLI {cold_cli_s:.2f}s, warm miss {warm_miss_s:.2f}s "
         f"({miss_speedup:.1f}x), warm hit {warm_hit_s * 1000:.1f}ms "
         f"({hit_speedup:.0f}x), {burst}-wide burst {burst_s:.2f}s "
-        f"(coalesced {stats['tickets_coalesced']}) -> {BENCH_OUT}"
+        f"(coalesced {stats['tickets_coalesced']}) -> {bench_out}"
     )
 
     # The warm front door must beat cold CLI start-up by the contract margins.

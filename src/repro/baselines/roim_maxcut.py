@@ -10,7 +10,7 @@ single binary stage and returns cut values rather than colorings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.dynamics.noise import random_initial_phases
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Bipartition, cut_size
 from repro.ising.maxcut import MaxCutProblem
-from repro.rng import iteration_seeds, make_rng
+from repro.rng import ReplicaRNG, iteration_seeds, make_rng
 
 
 @dataclass
@@ -67,7 +67,12 @@ class ROIMMaxCut:
         self._reference = (
             self.reference_cut if self.reference_cut is not None else self._problem.total_weight()
         )
-        self._edge_index = self.graph.edge_index_array()
+        # No frequency detuning: the baseline models ideal oscillators.
+        self._executor = StageExecutor(
+            config=self._config,
+            edge_index=self.graph.edge_index_array(),
+            num_oscillators=self.graph.num_nodes,
+        )
 
     @property
     def run_time(self) -> float:
@@ -76,14 +81,29 @@ class ROIMMaxCut:
 
     def run_iteration(self, seed: Optional[int] = None) -> ROIMCutResult:
         """One annealing + SHIL binarization run; returns the resulting cut."""
-        config = self._config
-        rng = make_rng(seed)
+        return self._run([seed])[0]
+
+    def solve(self, iterations: int = 40, seed: Optional[int] = None) -> List[ROIMCutResult]:
+        """Run ``iterations`` independent runs (one replica batch) and return all results.
+
+        Every run draws from its own seeded stream, so the results are
+        bit-identical to calling :meth:`run_iteration` once per seed.
+        """
+        if iterations < 1:
+            raise ConfigurationError("iterations must be at least 1")
+        return self._run(iteration_seeds(seed, iterations))
+
+    def _run(self, seeds: Sequence[Optional[int]]) -> List[ROIMCutResult]:
+        """Run one stage-1 replica per seed through the exact-tier stage body."""
+        rng = ReplicaRNG([make_rng(seed) for seed in seeds])
         num = self.graph.num_nodes
-        executor = StageExecutor(
-            config=config, edge_index=self._edge_index, num_oscillators=num, collect_trajectory=False
-        )
         phases = random_initial_phases(num, rng)
-        _, bits, _ = executor.run_stage(1, phases, np.zeros(num, dtype=int), rng)
+        _, bits, _ = self._executor.run_stage(
+            1, phases, np.zeros((len(seeds), num), dtype=int), rng
+        )
+        return [self._cut_result(row) for row in bits]
+
+    def _cut_result(self, bits: np.ndarray) -> ROIMCutResult:
         labels = {node: int(bit) for node, bit in zip(self.graph.nodes, bits)}
         partition = Bipartition.from_labels(labels)
         cut_value = self._problem.cut_value(partition)
@@ -95,13 +115,6 @@ class ROIMMaxCut:
         return ROIMCutResult(
             partition=partition, cut_value=cut_value, accuracy=accuracy, run_time=self.run_time
         )
-
-    def solve(self, iterations: int = 40, seed: Optional[int] = None) -> List[ROIMCutResult]:
-        """Run ``iterations`` independent runs and return all results."""
-        if iterations < 1:
-            raise ConfigurationError("iterations must be at least 1")
-        seeds = iteration_seeds(seed, iterations)
-        return [self.run_iteration(seed=s) for s in seeds]
 
     def best_of(self, iterations: int = 40, seed: Optional[int] = None) -> ROIMCutResult:
         """Return the best-cut result among ``iterations`` runs."""

@@ -19,7 +19,7 @@ from repro.exceptions import ConfigurationError
 from repro.core.config import MSROPMConfig
 from repro.core.metrics import coloring_accuracy
 from repro.core.results import IterationResult, SolveResult
-from repro.dynamics.integrators import integrate_euler_maruyama
+from repro.dynamics.integrators import euler_maruyama_final
 from repro.dynamics.kuramoto import CoupledOscillatorModel
 from repro.dynamics.noise import random_initial_phases
 from repro.graphs.coloring import Coloring
@@ -85,11 +85,10 @@ class SingleStageROPM:
         coupling = partition_coupling_matrix(self._edge_index, group_values, num, config.coupling_rate)
 
         anneal_model = CoupledOscillatorModel(coupling_matrix=coupling, shil_strength=0.0)
-        segment = integrate_euler_maruyama(
+        phases = euler_maruyama_final(
             anneal_model, phases, timing.annealing, config.time_step,
-            noise_amplitude=diffusion, seed=rng, record_every=config.record_every,
+            noise_amplitude=diffusion, seed=rng,
         )
-        phases = segment.final_phases
 
         lock_model = CoupledOscillatorModel(
             coupling_matrix=coupling,
@@ -98,11 +97,10 @@ class SingleStageROPM:
             shil_order=self.num_colors,
             shil_ramp=config.annealing_policy.shil_ramp(0.0, timing.shil_settling),
         )
-        segment = integrate_euler_maruyama(
+        phases = euler_maruyama_final(
             lock_model, phases, timing.shil_settling, config.time_step,
-            noise_amplitude=diffusion, seed=rng, record_every=config.record_every,
+            noise_amplitude=diffusion, seed=rng,
         )
-        phases = segment.final_phases
 
         spins = phases_to_spins(phases, self.num_colors)
         coloring = Coloring.from_array(self.graph, spins, self.num_colors)

@@ -6,14 +6,16 @@ them replicas of one stochastic process — and replicas can be advanced
 together.  This module is the seam between the machine and that choice:
 
 * :class:`SequentialEngine` runs one iteration at a time through
-  :meth:`repro.core.machine.MSROPM.run_iteration` — the original behaviour,
-  and the reference the batched path is tested against.
+  :meth:`repro.core.machine.MSROPM.run_iteration`.
 * :class:`BatchedEngine` (the default) stacks all R iterations into one
   ``(R, N)`` phase array and advances every replica with a single sparse or
-  dense product per integrator step.  Per-replica seeded RNG streams
-  (:class:`repro.rng.ReplicaRNG`) keep results bit-identical to the
-  sequential path for the same seeds on the sparse backend, and numerically
-  equivalent on the dense backend.
+  dense product per integrator step.
+
+Both go through :func:`run_batch` and the one stage body of
+:class:`repro.core.stages.StageExecutor` — the sequential engine at R=1 per
+seed.  Per-replica seeded RNG streams (:class:`repro.rng.ReplicaRNG`) keep the
+two bit-identical for the same seeds on the sparse backend, and numerically
+equivalent on the dense backend.
 
 Engines are selected by name via ``MSROPMConfig.engine`` (or per call via
 ``MSROPM.solve(engine=...)``); the batched engine additionally chooses its
@@ -31,12 +33,13 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.core.config import MSROPMConfig
-from repro.core.metrics import coloring_accuracy
 from repro.core.results import IterationResult, StageResult
+from repro.core.stages import StageExecutor
 from repro.dynamics.batched import ThroughputOptions
+from repro.dynamics.integrators import Trajectory
 from repro.dynamics.noise import perturbed_phases, random_initial_phases
 from repro.graphs.graph import Graph
-from repro.rng import ReplicaRNG, ThroughputRNG, make_rng
+from repro.rng import ReplicaRNG, ThroughputRNG
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.machine import MSROPM
@@ -109,7 +112,7 @@ class SolverEngine(ABC):
 
 
 class SequentialEngine(SolverEngine):
-    """Runs iterations one at a time (the original interpreter loop)."""
+    """Runs iterations one at a time: the stage body at R=1, once per seed."""
 
     name = "sequential"
 
@@ -133,22 +136,14 @@ class BatchedEngine(SolverEngine):
     coupling_backend:
         ``"sparse"``, ``"dense"``, or ``"auto"``; ``None`` (default) defers to
         the machine's ``MSROPMConfig.coupling_backend``.
-    fast_path:
-        ``True`` (default) runs the precompiled hot path: the machine's
-        cached :class:`StageExecutor` (coupling plans, direct kernels,
-        final-state integration) plus replica-vectorized stage scoring and
-        coloring accuracies.  ``False`` replays the pre-overhaul engine body
-        — per-stage operator construction, recorded trajectories, per-replica
-        Python scoring — which is the reference the fast path is proven
-        bit-identical against and the baseline the hot-path benchmark times.
     precision:
         ``"exact"``, ``"throughput"``, or ``None`` (default) to defer to the
         machine's ``MSROPMConfig.precision``.  The throughput tier trades the
         bit-identity contract for speed: float32 state and CSR operators, one
         batched noise stream for all replicas (statistically equivalent
-        accuracy, enforced by the equivalence harness).  It requires the fast
-        path and the sparse coupling backend (``auto`` resolutions to dense
-        are forced back to sparse; an explicit ``"dense"`` pin is an error).
+        accuracy, enforced by the equivalence harness).  It requires the
+        sparse coupling backend (``auto`` resolutions to dense are forced back
+        to sparse; an explicit ``"dense"`` pin is an error).
     throughput_options:
         Relaxation switches of the throughput tier
         (:class:`repro.dynamics.batched.ThroughputOptions`); ``None`` means
@@ -160,7 +155,6 @@ class BatchedEngine(SolverEngine):
     def __init__(
         self,
         coupling_backend: Optional[str] = None,
-        fast_path: bool = True,
         precision: Optional[str] = None,
         throughput_options: Optional[ThroughputOptions] = None,
     ) -> None:
@@ -174,105 +168,106 @@ class BatchedEngine(SolverEngine):
                 f"precision must be one of {MSROPMConfig.PRECISION_NAMES}, got {precision!r}"
             )
         self.coupling_backend = coupling_backend
-        self.fast_path = fast_path
         self.precision = precision
         self.throughput_options = throughput_options
 
     def run(self, machine: "MSROPM", seeds: Sequence[Optional[int]]) -> List[IterationResult]:
         config = machine.config
-        num_replicas = len(seeds)
-        num = machine.num_oscillators
         precision = self.precision if self.precision is not None else config.precision
-        backend = resolve_coupling_backend(
-            self.coupling_backend or config.coupling_backend, machine.graph
-        )
+        pinned = self.coupling_backend or config.coupling_backend
+        backend = resolve_coupling_backend(pinned, machine.graph)
         if precision == "throughput":
-            if not self.fast_path:
-                raise ConfigurationError(
-                    "precision='throughput' requires the batched fast path"
-                )
-            if (self.coupling_backend or config.coupling_backend) == "dense":
+            if pinned == "dense":
                 raise ConfigurationError(
                     "precision='throughput' runs on the sparse coupling backend; "
                     "remove the explicit coupling_backend='dense' pin"
                 )
             # The float32 CSR kernels are sparse-only; an auto resolution to
             # dense falls back to sparse rather than silently switching tiers.
-            backend = "sparse"
             options = (
                 self.throughput_options
                 if self.throughput_options is not None
                 else ThroughputOptions()
             )
-            rng = (
-                ThroughputRNG(seeds)
-                if options.batched_rng
-                else ReplicaRNG([make_rng(seed) for seed in seeds])
-            )
+            rng = ThroughputRNG(seeds) if options.batched_rng else ReplicaRNG.from_seeds(seeds)
             executor = machine.batched_executor(
-                backend,
-                fast_path=True,
-                precision="throughput",
-                throughput_options=options,
+                "sparse", precision="throughput", throughput_options=options
             )
         else:
-            rng = ReplicaRNG([make_rng(seed) for seed in seeds])
-            executor = machine.batched_executor(backend, fast_path=self.fast_path)
+            rng = ReplicaRNG.from_seeds(seeds)
+            executor = machine.batched_executor(backend)
+        return run_batch(machine, seeds, rng, executor)
 
-        phases = random_initial_phases(num, rng)  # (R, N)
-        group_values = np.zeros((num_replicas, num), dtype=int)
-        stage_records: List[List[StageResult]] = [[] for _ in range(num_replicas)]
-        time = 0.0
 
-        for stage_index in range(1, config.num_stages + 1):
-            if stage_index > 1:
-                # Compute-in-memory hand-off, exactly as in the sequential path.
-                phases = perturbed_phases(phases, config.stage2_reinit_jitter, rng)
-            phases, bits, _ = executor.run_stage(
-                stage_index, phases, group_values, rng, start_time=time
-            )
-            time += (
-                config.timing.initialization
-                + config.timing.annealing
-                + config.timing.shil_settling
-            )
-            if self.fast_path:
-                for replica, record in enumerate(
-                    machine._score_stage_batch(stage_index, bits, group_values)
-                ):
-                    stage_records[replica].append(record)
-            else:
-                for replica in range(num_replicas):
-                    stage_records[replica].append(
-                        machine._score_stage(stage_index, bits[replica], group_values[replica])
-                    )
-            group_values = group_values + bits * (2 ** (stage_index - 1))
+def run_batch(
+    machine: "MSROPM",
+    seeds: Sequence[Optional[int]],
+    rng,
+    executor: StageExecutor,
+) -> List[IterationResult]:
+    """Run ``len(seeds)`` iterations of ``machine`` as one ``(R, N)`` batch.
 
-        accuracies: Optional[List[float]] = None
-        if self.fast_path:
-            accuracies = machine._batch_coloring_accuracies(group_values)
-        results: List[IterationResult] = []
-        for replica in range(num_replicas):
-            stage_results = stage_records[replica]
-            if stage_results:
-                stage_results[-1].final_phases = np.array(phases[replica], dtype=float)
-            coloring = machine._decode_coloring(group_values[replica])
-            seed = seeds[replica]
-            results.append(
-                IterationResult(
-                    iteration_index=replica,
-                    seed=int(seed) if seed is not None else -1,
-                    coloring=coloring,
-                    accuracy=(
-                        accuracies[replica]
-                        if accuracies is not None
-                        else coloring_accuracy(machine.graph, coloring)
-                    ),
-                    stage_results=stage_results,
-                    run_time=config.total_run_time,
-                )
+    ``rng`` draws the batch's randomness (a :class:`repro.rng.ReplicaRNG`
+    over ``seeds`` keeps every replica on its own stream) and ``executor``
+    runs the stages.  When the executor collects trajectories, each result
+    carries its replica's ``(T, N)`` slice of the recorded trajectory.
+    """
+    config = machine.config
+    num_replicas = len(seeds)
+    num = machine.num_oscillators
+    phases = random_initial_phases(num, rng)  # (R, N)
+    group_values = np.zeros((num_replicas, num), dtype=int)
+    stage_records: List[List[StageResult]] = [[] for _ in range(num_replicas)]
+    trajectory: Optional[Trajectory] = None
+    time = 0.0
+
+    for stage_index in range(1, config.num_stages + 1):
+        if stage_index > 1:
+            # Compute-in-memory hand-off: phases persist between stages but
+            # pick up a little jitter while couplings and SHIL are off.
+            phases = perturbed_phases(phases, config.stage2_reinit_jitter, rng)
+        phases, bits, stage_trajectory = executor.run_stage(
+            stage_index, phases, group_values, rng, start_time=time
+        )
+        if stage_trajectory is not None:
+            trajectory = (
+                stage_trajectory if trajectory is None else trajectory.concatenate(stage_trajectory)
             )
-        return results
+        time += (
+            config.timing.initialization
+            + config.timing.annealing
+            + config.timing.shil_settling
+        )
+        for replica, record in enumerate(
+            machine._score_stage_batch(stage_index, bits, group_values)
+        ):
+            stage_records[replica].append(record)
+        group_values = group_values + bits * (2 ** (stage_index - 1))
+
+    accuracies = machine._batch_coloring_accuracies(group_values)
+    results: List[IterationResult] = []
+    for replica in range(num_replicas):
+        stage_results = stage_records[replica]
+        if stage_results:
+            # Stash the final phases on the last stage record for inspection.
+            stage_results[-1].final_phases = np.array(phases[replica], dtype=float)
+        seed = seeds[replica]
+        results.append(
+            IterationResult(
+                iteration_index=replica,
+                seed=int(seed) if seed is not None else -1,
+                coloring=machine._decode_coloring(group_values[replica]),
+                accuracy=accuracies[replica],
+                stage_results=stage_results,
+                run_time=config.total_run_time,
+                trajectory=(
+                    Trajectory(times=trajectory.times, phases=trajectory.phases[:, replica])
+                    if trajectory is not None
+                    else None
+                ),
+            )
+        )
+    return results
 
 
 def get_engine(engine: Union[str, SolverEngine, None]) -> SolverEngine:

@@ -35,18 +35,17 @@ from repro.exceptions import ConfigurationError, MappingError
 from repro.circuit.netlist import FabricNetlist
 from repro.circuit.power import PowerModel
 from repro.core.config import MSROPMConfig
-from repro.core.engine import SolverEngine, get_engine
+from repro.core.engine import SolverEngine, get_engine, run_batch
 from repro.core.mapping import ProblemMapping, identity_mapping
-from repro.core.metrics import coloring_accuracy, maxcut_accuracy
+from repro.core.metrics import maxcut_accuracy
 from repro.core.results import IterationResult, SolveResult, StageResult
 from repro.core.stages import StageExecutor, group_offsets
-from repro.dynamics.noise import perturbed_phases, random_initial_phases
 from repro.graphs.coloring import Coloring, kings_graph_reference_coloring
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Bipartition
 from repro.graphs.properties import is_kings_graph_shape
 from repro.ising.maxcut import kings_graph_reference_cut
-from repro.rng import iteration_seeds, make_rng
+from repro.rng import ReplicaRNG, iteration_seeds, make_rng
 
 
 class MSROPM:
@@ -130,15 +129,15 @@ class MSROPM:
 
     def batched_executor(
         self,
-        coupling_backend: str,
-        fast_path: bool = True,
+        coupling_backend: str = "sparse",
         precision: str = "exact",
         throughput_options=None,
+        collect_trajectory: bool = False,
     ) -> StageExecutor:
-        """The machine's cached batched :class:`StageExecutor`.
+        """The machine's cached :class:`StageExecutor` for one configuration.
 
-        Built once per ``(backend, fast_path, precision, options)`` key and
-        reused across solves, so the executor's precompiled
+        Built once per ``(backend, precision, options, collect_trajectory)``
+        key and reused across solves, so the executor's precompiled
         :class:`~repro.core.stages.CouplingPlan` (stage-1 CSR, kernel buffers,
         dense base matrix) survives from one solve to the next — and, through
         the runtime's per-worker machine memo, from one job to the next.  The
@@ -147,15 +146,15 @@ class MSROPM:
         executors (their plans hold different-dtype operators).
         """
         cache = self.__dict__.setdefault("_executor_cache", {})
-        key = (coupling_backend, fast_path, precision, throughput_options)
+        key = (coupling_backend, precision, throughput_options, collect_trajectory)
         if key not in cache:
             cache[key] = StageExecutor(
                 config=self.config,
                 edge_index=self._edge_index,
                 num_oscillators=self.num_oscillators,
+                collect_trajectory=collect_trajectory,
                 frequency_detuning=self._frequency_detuning,
                 coupling_backend=coupling_backend,
-                fast_path=fast_path,
                 precision=precision,
                 throughput_options=throughput_options,
             )
@@ -168,57 +167,17 @@ class MSROPM:
         seed: Optional[int] = None,
         collect_trajectory: bool = False,
     ) -> IterationResult:
-        """Run one complete multi-stage solve and return its result."""
-        config = self.config
-        rng = make_rng(seed)
-        num = self.num_oscillators
-        executor = StageExecutor(
-            config=config,
-            edge_index=self._edge_index,
-            num_oscillators=num,
-            collect_trajectory=collect_trajectory,
-            frequency_detuning=self._frequency_detuning,
-        )
+        """Run one complete multi-stage solve and return its result.
 
-        phases = random_initial_phases(num, rng)
-        group_values = np.zeros(num, dtype=int)
-        stage_results: List[StageResult] = []
-        trajectory = None
-        time = 0.0
-
-        for stage_index in range(1, config.num_stages + 1):
-            if stage_index > 1:
-                # Compute-in-memory hand-off: phases persist between stages but
-                # pick up a little jitter while couplings and SHIL are off.
-                phases = perturbed_phases(phases, config.stage2_reinit_jitter, rng)
-            phases, bits, stage_trajectory = executor.run_stage(
-                stage_index, phases, group_values, rng, start_time=time
-            )
-            if collect_trajectory and stage_trajectory is not None:
-                trajectory = stage_trajectory if trajectory is None else trajectory.concatenate(stage_trajectory)
-            time += (
-                config.timing.initialization + config.timing.annealing + config.timing.shil_settling
-            )
-
-            stage_results.append(
-                self._score_stage(stage_index, bits, group_values)
-            )
-            group_values = group_values + bits * (2 ** (stage_index - 1))
-
-        coloring = self._decode_coloring(group_values)
-        accuracy = coloring_accuracy(self.graph, coloring)
-        # Stash the final phases on the last stage record for inspection.
-        if stage_results:
-            stage_results[-1].final_phases = np.array(phases, dtype=float)
-        return IterationResult(
-            iteration_index=iteration_index,
-            seed=int(seed) if seed is not None else -1,
-            coloring=coloring,
-            accuracy=accuracy,
-            stage_results=stage_results,
-            run_time=config.total_run_time,
-            trajectory=trajectory,
-        )
+        This is the batched stage body at R=1 on the sparse exact tier, so a
+        run is bit-identical to the same seed's replica in a batched solve.
+        With ``collect_trajectory`` every integrator step is recorded and the
+        result carries the ``(T, N)`` trajectory.
+        """
+        executor = self.batched_executor(collect_trajectory=collect_trajectory)
+        result = run_batch(self, [seed], ReplicaRNG([make_rng(seed)]), executor)[0]
+        result.iteration_index = iteration_index
+        return result
 
     def solve(
         self,
@@ -300,45 +259,15 @@ class MSROPM:
         return {"precision": precision, "dtype": dtype, "numpy": np.__version__}
 
     # ------------------------------------------------------------------
-    def _score_stage(
-        self, stage_index: int, bits: np.ndarray, group_values: np.ndarray
-    ) -> StageResult:
-        """Compute the cut value/accuracy of one stage's binary read-out."""
-        edge_index = self._edge_index
-        if edge_index.size:
-            active = group_values[edge_index[:, 0]] == group_values[edge_index[:, 1]]
-            cut_mask = bits[edge_index[:, 0]] != bits[edge_index[:, 1]]
-            cut_value = int(np.sum(active & cut_mask))
-            active_edges = int(np.sum(active))
-        else:
-            cut_value = 0
-            active_edges = 0
-        if stage_index == 1:
-            reference = self._stage1_reference_cut
-        else:
-            reference = max(1, active_edges)
-        raw = cut_value / reference if reference > 0 else 1.0
-        side_a = frozenset(node for node, bit in zip(self._nodes, bits) if bit == 0)
-        side_b = frozenset(node for node, bit in zip(self._nodes, bits) if bit == 1)
-        partition = Bipartition(side_a=side_a, side_b=side_b)
-        return StageResult(
-            stage_index=stage_index,
-            partition=partition,
-            cut_value=cut_value,
-            reference_cut=int(reference),
-            accuracy=float(min(1.0, raw)),
-            raw_accuracy=float(raw),
-        )
-
     def _score_stage_batch(
         self, stage_index: int, bits: np.ndarray, group_values: np.ndarray
     ) -> List[StageResult]:
-        """Replica-vectorized :meth:`_score_stage` for ``(R, N)`` read-outs.
+        """Cut values/accuracies of one stage's ``(R, N)`` binary read-outs.
 
         The per-edge gating and cut masks are evaluated once over the whole
-        ``(R, E)`` table instead of once per replica; the per-replica counts —
-        and therefore every derived accuracy float — are identical to R
-        separate :meth:`_score_stage` calls, which the hot-path tests pin.
+        ``(R, E)`` table; stage 1 is normalized by the machine's stage-1
+        reference cut, later stages by each replica's count of conducting
+        (same-group) edges.
         """
         num_replicas = bits.shape[0]
         edge_index = self._edge_index

@@ -11,9 +11,9 @@ Each binary stage of the MSROPM consists of three intervals (Fig. 3):
    the phases onto the partition's lock grid; at the end the phases are read
    out.
 
-The helpers here build the :class:`CoupledOscillatorModel` for each interval
-from the stage's group labels and run the integrator; :class:`repro.core.machine.MSROPM`
-strings the stages together.
+:class:`StageExecutor` runs the three intervals on a batch of replicas, with
+the coupling operators precompiled by a :class:`CouplingPlan` from the stage's
+group labels; :class:`repro.core.machine.MSROPM` strings the stages together.
 """
 
 from __future__ import annotations
@@ -24,16 +24,14 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.exceptions import SimulationError, StageError
+from repro.exceptions import StageError
 from repro.core.config import MSROPMConfig
 from repro.dynamics.batched import (
     BatchedOscillatorModel,
-    BlockDiagonalCoupling,
     CouplingOperator,
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
     GroupMaskedDenseCoupling,
-    SharedCoupling,
     ThroughputOptions,
     ThroughputOscillatorModel,
 )
@@ -42,8 +40,7 @@ from repro.dynamics.integrators import (
     euler_maruyama_final,
     integrate_euler_maruyama,
 )
-from repro.dynamics.kuramoto import CoupledOscillatorModel
-from repro.rng import SeedLike, make_rng
+from repro.rng import make_rng
 
 
 def group_offsets(group_values: np.ndarray, stage_index: int) -> np.ndarray:
@@ -124,8 +121,9 @@ class CouplingPlan:
       :class:`GroupMaskedDenseCoupling` instance (which itself caches its
       per-label masks for the stage's two intervals).
 
-    Every operator the plan returns is bit-identical in its arithmetic to the
-    per-stage construction it replaces (same canonical CSR, same kernels).
+    Every sparse operator the plan returns holds the canonical CSR that
+    :func:`partition_coupling_matrix` builds for each replica, so each
+    replica's products are bit-identical to its own gated matvec.
     """
 
     def __init__(
@@ -196,7 +194,12 @@ class CouplingPlan:
 
 @dataclass
 class StageExecutor:
-    """Runs the three intervals of one binary stage on a phase vector.
+    """Runs the three intervals of one binary stage on a batch of replicas.
+
+    Every caller goes through the one stage body of :meth:`run_stage` on a
+    ``(R, N)`` phase array: the batched engine with all iterations of a
+    solve, :meth:`repro.core.machine.MSROPM.run_iteration` (and therefore the
+    sequential engine) at R=1, and the ROIM baseline.
 
     Parameters
     ----------
@@ -207,10 +210,15 @@ class StageExecutor:
     num_oscillators:
         Number of oscillators (problem nodes).
     collect_trajectory:
-        When ``True`` the initialization interval is also simulated and all
-        intervals record every integrator step, so waveforms can be
-        reconstructed; when ``False`` the initialization interval is applied
-        analytically (pure diffusion) and trajectories are thinned.
+        When ``True`` every integrator step is recorded: the initialization
+        interval is integrated with a free model (no coupling, no SHIL, no
+        detuning) and all intervals run through
+        :func:`repro.dynamics.integrators.integrate_euler_maruyama`, so
+        waveforms can be reconstructed.  When ``False`` the initialization
+        interval is applied analytically (pure diffusion) and the intervals
+        run through :func:`repro.dynamics.integrators.euler_maruyama_final`,
+        which never materializes an intermediate state.  Both consume the
+        same random stream and produce bit-identical phases.
     frequency_detuning:
         Optional per-oscillator free-running frequency offsets (radians/second)
         modelling static process variation; applied during the annealing and
@@ -218,25 +226,19 @@ class StageExecutor:
         standard deviation ``config.frequency_detuning_rate_std``), not the
         relative ``config.frequency_detuning_std`` fraction.
     coupling_backend:
-        Coupling representation for *batched* stage runs: ``"sparse"``
-        (shared CSR / block-diagonal CSR, bit-identical to the sequential
-        path) or ``"dense"`` (group-masked GEMMs, numerically equivalent).
-        ``"auto"`` must be resolved by the caller (the engine) before the
-        executor runs.
-    fast_path:
-        When ``True`` (default), batched non-trajectory stages run the
-        precompiled hot path: operators come from the executor's
-        :class:`CouplingPlan` and the intervals integrate through
-        :func:`repro.dynamics.integrators.euler_maruyama_final`, never
-        materializing intermediate states.  ``False`` forces the reference
-        body (per-stage operator construction, recorded trajectories) — the
-        baseline the fast path is tested bit-identical against and the
-        pre-overhaul behaviour the hot-path benchmark times.
+        Coupling representation: ``"sparse"`` (shared CSR / block-diagonal
+        CSR, bit-identical per replica) or ``"dense"`` (group-masked GEMMs,
+        numerically equivalent).  ``"auto"`` must be resolved by the caller
+        (the engine) before the executor runs.
     precision:
         Precision tier of the stage arithmetic: ``"exact"`` (default,
-        bit-identical contract) or ``"throughput"`` (float32 state + relaxed
-        RNG per :class:`repro.dynamics.batched.ThroughputOptions`, statistical
-        contract).  The throughput tier requires the batched fast path.
+        bit-identical contract: float64 state, :class:`BatchedOscillatorModel`)
+        or ``"throughput"`` (``state_dtype`` state, a
+        :class:`ThroughputOscillatorModel` and whatever relaxed RNG the caller
+        passes, per :class:`repro.dynamics.batched.ThroughputOptions`;
+        statistical contract, owned by the equivalence harness).  The
+        throughput tier runs on the sparse backend without trajectory
+        collection.
     throughput_options:
         Relaxation switches of the throughput tier; ``None`` means the tier's
         defaults.  Ignored on the exact tier.
@@ -248,7 +250,6 @@ class StageExecutor:
     collect_trajectory: bool = False
     frequency_detuning: Optional[np.ndarray] = None
     coupling_backend: str = "sparse"
-    fast_path: bool = True
     precision: str = "exact"
     throughput_options: Optional[ThroughputOptions] = None
 
@@ -287,377 +288,72 @@ class StageExecutor:
         rng,
         start_time: float = 0.0,
     ) -> Tuple[np.ndarray, np.ndarray, Optional[Trajectory]]:
-        """Execute stage ``stage_index`` starting from ``phases``.
+        """Execute stage ``stage_index`` on the ``(R, N)`` replica batch ``phases``.
 
-        ``phases`` is either a flat ``(N,)`` vector (one run) or a batched
-        ``(R, N)`` array of R replicas, with ``group_values`` of matching
-        shape; batched runs execute every replica in one vectorized
-        integration.  Returns ``(final_phases, stage_bits, trajectory_or_None)``
-        where ``stage_bits`` is the per-oscillator binary read-out of this
-        stage, shaped like ``phases``.
+        ``group_values`` is the matching ``(R, N)`` gating table read out by
+        the earlier stages; randomness comes from ``rng``, typically a
+        :class:`repro.rng.ReplicaRNG` whose per-replica streams are consumed
+        exactly as R separate runs would consume them.  Returns
+        ``(final_phases, stage_bits, trajectory_or_None)`` where
+        ``stage_bits`` is the per-oscillator binary read-out of this stage,
+        shaped like ``phases``, and the trajectory (``(T, R, N)`` phases) is
+        present only when the executor collects trajectories.
         """
-        if self.precision == "throughput":
-            if (
-                np.ndim(phases) != 2
-                or not self.fast_path
-                or self.collect_trajectory
-                or self.coupling_backend != "sparse"
-            ):
-                raise StageError(
-                    "precision='throughput' requires the batched fast path on the "
-                    "sparse backend without trajectory collection"
-                )
-            phases = np.asarray(phases, dtype=self.state_dtype)
-            return self._run_batched_stage_throughput(
-                stage_index, phases, group_values, rng, start_time
-            )
-        phases = np.asarray(phases, dtype=float)
-        if phases.ndim == 2:
-            if self.fast_path and not self.collect_trajectory:
-                return self._run_batched_stage_fast(
-                    stage_index, phases, group_values, rng, start_time
-                )
-            return self._run_batched_stage(stage_index, phases, group_values, rng, start_time)
-        config = self.config
-        timing = config.timing
-        rng = make_rng(rng)
-        record_every = 1 if self.collect_trajectory else config.record_every
-        diffusion = config.phase_noise_diffusion
-        trajectory: Optional[Trajectory] = None
-        time = start_time
-
-        coupling = partition_coupling_matrix(
-            self.edge_index, group_values, self.num_oscillators, config.coupling_rate
-        )
-        offsets = group_offsets(group_values, stage_index)
-
-        # ------------------------------------------------------- initialization
-        if self.collect_trajectory:
-            free_model = CoupledOscillatorModel(
-                coupling_matrix=sparse.csr_matrix((self.num_oscillators, self.num_oscillators)),
-                shil_strength=0.0,
-            )
-            segment = integrate_euler_maruyama(
-                free_model,
-                phases,
-                timing.initialization,
-                config.time_step,
-                noise_amplitude=diffusion,
-                seed=rng,
-                start_time=time,
-                record_every=record_every,
-            )
-            trajectory = segment
-            phases = segment.final_phases
-        else:
-            # Couplings and SHIL are off, so the interval is a pure phase
-            # diffusion; apply the equivalent Gaussian walk directly.
-            std = np.sqrt(2.0 * diffusion * timing.initialization)
-            if std > 0:
-                phases = phases + rng.normal(0.0, std, size=phases.shape)
-        time += timing.initialization
-
-        # ------------------------------------------------------------ annealing
-        anneal_model = CoupledOscillatorModel(
-            coupling_matrix=coupling,
-            shil_strength=0.0,
-            frequency_detuning=self.frequency_detuning,
-            coupling_ramp=config.annealing_policy.coupling_ramp(time, timing.annealing),
-        )
-        segment = integrate_euler_maruyama(
-            anneal_model,
-            phases,
-            timing.annealing,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-            record_every=record_every,
-        )
-        trajectory = segment if trajectory is None else trajectory.concatenate(segment)
-        phases = segment.final_phases
-        time += timing.annealing
-
-        # ------------------------------------------------------------ SHIL lock
-        lock_model = CoupledOscillatorModel(
-            coupling_matrix=coupling,
-            shil_strength=config.shil_rate,
-            shil_offset=offsets,
-            shil_order=2,
-            frequency_detuning=self.frequency_detuning,
-            shil_ramp=config.annealing_policy.shil_ramp(time, timing.shil_settling),
-        )
-        segment = integrate_euler_maruyama(
-            lock_model,
-            phases,
-            timing.shil_settling,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-            record_every=record_every,
-        )
-        trajectory = trajectory.concatenate(segment)
-        phases = segment.final_phases
-
-        bits = binarize_against_offsets(phases, offsets)
-        return phases, bits, (trajectory if self.collect_trajectory else None)
-
-    # ------------------------------------------------------------------
-    # Batched (replica-parallel) execution
-    # ------------------------------------------------------------------
-    def _dense_base_matrix(self) -> np.ndarray:
-        """The fabric's ungated dense coupling-rate matrix (plan-cached)."""
-        return self.plan.dense_base()
-
-    def _batched_coupling(self, group_values: np.ndarray) -> CouplingOperator:
-        """Build the coupling operator for one batched stage.
-
-        Sparse backend: one shared CSR matrix when every replica agrees on the
-        grouping (always true in stage 1), otherwise per-replica gated blocks
-        on a block-diagonal CSR — both bit-identical to the sequential matvec.
-        Dense backend: the shared dense base with per-replica group masking.
-        """
-        if self.coupling_backend == "dense":
-            return GroupMaskedDenseCoupling(self._dense_base_matrix(), group_values)
-        if self.coupling_backend != "sparse":
+        if np.ndim(phases) != 2:
             raise StageError(
-                f"coupling_backend must be resolved to 'sparse' or 'dense' before "
-                f"stage execution, got {self.coupling_backend!r}"
+                f"run_stage takes a batched (R, N) phase array, got shape {np.shape(phases)}"
             )
-        rate = self.config.coupling_rate
-        if np.all(group_values == group_values[0]):
-            return SharedCoupling(
-                partition_coupling_matrix(
-                    self.edge_index, group_values[0], self.num_oscillators, rate
-                )
-            )
-        blocks = [
-            partition_coupling_matrix(self.edge_index, row, self.num_oscillators, rate)
-            for row in group_values
-        ]
-        return BlockDiagonalCoupling(blocks)
-
-    def _run_batched_stage_fast(
-        self,
-        stage_index: int,
-        phases: np.ndarray,
-        group_values: np.ndarray,
-        rng,
-        start_time: float,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[Trajectory]]:
-        """Hot-path mirror of :meth:`_run_batched_stage` for final-state solves.
-
-        Exactly the reference body minus everything a non-trajectory solve
-        never reads: operators come precompiled from the :class:`CouplingPlan`
-        (bit-identical matrices, direct kernels), the two integrated intervals
-        run through :func:`euler_maruyama_final` (same steps, same random
-        stream, no recording), and no :class:`Trajectory` is ever built.  The
-        returned phases and bits are bit-identical to the reference body's.
-        """
-        config = self.config
-        timing = config.timing
-        rng = make_rng(rng)
-        diffusion = config.phase_noise_diffusion
-        time = start_time
-
         group_values = np.asarray(group_values, dtype=int)
-        if group_values.shape != phases.shape:
+        if group_values.shape != np.shape(phases):
             raise StageError(
                 f"batched group_values shape {group_values.shape} must match "
-                f"phases shape {phases.shape}"
+                f"phases shape {np.shape(phases)}"
             )
-        coupling = self.plan.operator(group_values)
-        offsets = group_offsets(group_values, stage_index)
-
-        # Initialization: couplings and SHIL are off, so the interval is a
-        # pure phase diffusion; apply the equivalent Gaussian walk directly.
-        std = np.sqrt(2.0 * diffusion * timing.initialization)
-        if std > 0:
-            phases = phases + rng.normal(0.0, std, size=phases.shape)
-        time += timing.initialization
-
-        anneal_model = BatchedOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
-            shil_strength=0.0,
-            frequency_detuning=self.frequency_detuning,
-            coupling_ramp=config.annealing_policy.coupling_ramp(time, timing.annealing),
-        )
-        phases = euler_maruyama_final(
-            anneal_model,
-            phases,
-            timing.annealing,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-        )
-        time += timing.annealing
-
-        lock_model = BatchedOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
-            shil_strength=config.shil_rate,
-            shil_offset=offsets,
-            shil_order=2,
-            frequency_detuning=self.frequency_detuning,
-            shil_ramp=config.annealing_policy.shil_ramp(time, timing.shil_settling),
-        )
-        phases = euler_maruyama_final(
-            lock_model,
-            phases,
-            timing.shil_settling,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-        )
-
-        bits = binarize_against_offsets(phases, offsets)
-        return phases, bits, None
-
-    def _run_batched_stage_throughput(
-        self,
-        stage_index: int,
-        phases: np.ndarray,
-        group_values: np.ndarray,
-        rng,
-        start_time: float,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[Trajectory]]:
-        """Throughput-tier mirror of :meth:`_run_batched_stage_fast`.
-
-        Same three intervals and the same term structure, with the tier's
-        declared relaxations: the state (and the plan's CSR operators) may be
-        float32, the RHS is a :class:`ThroughputOscillatorModel`, and the
-        noise stream is whatever the caller's RNG provides (a
-        :class:`repro.rng.ThroughputRNG` under the default relaxations —
-        one batched stream of moment-matched uniform increments).  Results
-        are statistically equivalent to the exact tier, not bit-identical;
-        the equivalence harness owns that contract.
-        """
+        throughput = self.precision == "throughput"
+        if throughput and (self.collect_trajectory or self.coupling_backend != "sparse"):
+            raise StageError(
+                "precision='throughput' runs on the sparse backend without trajectory collection"
+            )
         config = self.config
         timing = config.timing
         rng = make_rng(rng)
         diffusion = config.phase_noise_diffusion
-        options = self.throughput
         dtype = self.state_dtype
+        phases = np.asarray(phases, dtype=dtype)
         time = start_time
+        trajectory: Optional[Trajectory] = None
 
-        group_values = np.asarray(group_values, dtype=int)
-        if group_values.shape != phases.shape:
-            raise StageError(
-                f"batched group_values shape {group_values.shape} must match "
-                f"phases shape {phases.shape}"
-            )
         coupling = self.plan.operator(group_values)
         offsets = group_offsets(group_values, stage_index)
+        if throughput:
+            model_class = ThroughputOscillatorModel
+            tier = {"fused_shil": self.throughput.fused_shil, "dtype": dtype}
+        else:
+            model_class, tier = BatchedOscillatorModel, {}
 
-        # Initialization: couplings and SHIL are off, so the interval is a
-        # pure phase diffusion; apply the equivalent Gaussian walk directly.
-        std = np.sqrt(2.0 * diffusion * timing.initialization)
-        if std > 0:
-            phases = phases + rng.normal(0.0, std, size=phases.shape)
-        time += timing.initialization
-
-        anneal_model = ThroughputOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
-            shil_strength=0.0,
-            frequency_detuning=self.frequency_detuning,
-            coupling_ramp=config.annealing_policy.coupling_ramp(time, timing.annealing),
-            fused_shil=options.fused_shil,
-            dtype=dtype,
-        )
-        phases = euler_maruyama_final(
-            anneal_model,
-            phases,
-            timing.annealing,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-            dtype=dtype,
-        )
-        time += timing.annealing
-
-        lock_model = ThroughputOscillatorModel(
-            coupling=coupling,
-            num_oscillators=self.num_oscillators,
-            shil_strength=config.shil_rate,
-            shil_offset=offsets,
-            shil_order=2,
-            frequency_detuning=self.frequency_detuning,
-            shil_ramp=config.annealing_policy.shil_ramp(time, timing.shil_settling),
-            fused_shil=options.fused_shil,
-            dtype=dtype,
-        )
-        phases = euler_maruyama_final(
-            lock_model,
-            phases,
-            timing.shil_settling,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-            dtype=dtype,
-        )
-
-        bits = binarize_against_offsets(phases, offsets)
-        return phases, bits, None
-
-    def _run_batched_stage(
-        self,
-        stage_index: int,
-        phases: np.ndarray,
-        group_values: np.ndarray,
-        rng,
-        start_time: float,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[Trajectory]]:
-        """Vectorized mirror of the sequential stage body for ``(R, N)`` phases.
-
-        The three intervals are identical to the sequential path; the replica
-        axis rides through the integrators, and randomness comes from the
-        caller's :class:`repro.rng.ReplicaRNG` so each replica's stream is
-        consumed exactly as its sequential run would consume it.
-        """
-        config = self.config
-        timing = config.timing
-        rng = make_rng(rng)
-        record_every = 1 if self.collect_trajectory else config.record_every
-        diffusion = config.phase_noise_diffusion
-        trajectory: Optional[Trajectory] = None
-        time = start_time
-
-        group_values = np.asarray(group_values, dtype=int)
-        if group_values.shape != phases.shape:
-            raise StageError(
-                f"batched group_values shape {group_values.shape} must match "
-                f"phases shape {phases.shape}"
+        def integrate(model, phases, duration, time):
+            nonlocal trajectory
+            if not self.collect_trajectory:
+                return euler_maruyama_final(
+                    model, phases, duration, config.time_step, noise_amplitude=diffusion,
+                    seed=rng, start_time=time, dtype=dtype,
+                )
+            segment = integrate_euler_maruyama(
+                model, phases, duration, config.time_step, noise_amplitude=diffusion,
+                seed=rng, start_time=time, record_every=1,
             )
-        coupling = self._batched_coupling(group_values)
-        offsets = group_offsets(group_values, stage_index)
+            trajectory = segment if trajectory is None else trajectory.concatenate(segment)
+            return segment.final_phases
 
         # ------------------------------------------------------- initialization
         if self.collect_trajectory:
             free_model = BatchedOscillatorModel(
-                coupling=SharedCoupling(
+                coupling=FastSharedCoupling(
                     sparse.csr_matrix((self.num_oscillators, self.num_oscillators))
                 ),
                 num_oscillators=self.num_oscillators,
             )
-            segment = integrate_euler_maruyama(
-                free_model,
-                phases,
-                timing.initialization,
-                config.time_step,
-                noise_amplitude=diffusion,
-                seed=rng,
-                start_time=time,
-                record_every=record_every,
-            )
-            trajectory = segment
-            phases = segment.final_phases
+            phases = integrate(free_model, phases, timing.initialization, time)
         else:
             # Couplings and SHIL are off, so the interval is a pure phase
             # diffusion; apply the equivalent Gaussian walk directly.
@@ -667,29 +363,19 @@ class StageExecutor:
         time += timing.initialization
 
         # ------------------------------------------------------------ annealing
-        anneal_model = BatchedOscillatorModel(
+        anneal_model = model_class(
             coupling=coupling,
             num_oscillators=self.num_oscillators,
             shil_strength=0.0,
             frequency_detuning=self.frequency_detuning,
             coupling_ramp=config.annealing_policy.coupling_ramp(time, timing.annealing),
+            **tier,
         )
-        segment = integrate_euler_maruyama(
-            anneal_model,
-            phases,
-            timing.annealing,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-            record_every=record_every,
-        )
-        trajectory = segment if trajectory is None else trajectory.concatenate(segment)
-        phases = segment.final_phases
+        phases = integrate(anneal_model, phases, timing.annealing, time)
         time += timing.annealing
 
         # ------------------------------------------------------------ SHIL lock
-        lock_model = BatchedOscillatorModel(
+        lock_model = model_class(
             coupling=coupling,
             num_oscillators=self.num_oscillators,
             shil_strength=config.shil_rate,
@@ -697,19 +383,9 @@ class StageExecutor:
             shil_order=2,
             frequency_detuning=self.frequency_detuning,
             shil_ramp=config.annealing_policy.shil_ramp(time, timing.shil_settling),
+            **tier,
         )
-        segment = integrate_euler_maruyama(
-            lock_model,
-            phases,
-            timing.shil_settling,
-            config.time_step,
-            noise_amplitude=diffusion,
-            seed=rng,
-            start_time=time,
-            record_every=record_every,
-        )
-        trajectory = trajectory.concatenate(segment)
-        phases = segment.final_phases
+        phases = integrate(lock_model, phases, timing.shil_settling, time)
 
         bits = binarize_against_offsets(phases, offsets)
-        return phases, bits, (trajectory if self.collect_trajectory else None)
+        return phases, bits, trajectory

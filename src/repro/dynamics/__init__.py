@@ -8,10 +8,10 @@ from repro.dynamics.integrators import (
 )
 from repro.dynamics.batched import (
     BatchedOscillatorModel,
-    BlockDiagonalCoupling,
     CouplingOperator,
+    FastBlockDiagonalCoupling,
+    FastSharedCoupling,
     GroupMaskedDenseCoupling,
-    SharedCoupling,
 )
 from repro.dynamics.kuramoto import CoupledOscillatorModel, uniform_coupling_matrix
 from repro.dynamics.noise import PhaseNoiseModel, perturbed_phases, random_initial_phases
@@ -38,8 +38,8 @@ __all__ = [
     "CoupledOscillatorModel",
     "BatchedOscillatorModel",
     "CouplingOperator",
-    "SharedCoupling",
-    "BlockDiagonalCoupling",
+    "FastSharedCoupling",
+    "FastBlockDiagonalCoupling",
     "GroupMaskedDenseCoupling",
     "uniform_coupling_matrix",
     "PhaseNoiseModel",

@@ -9,31 +9,23 @@ labels, so every replica conducts a different subset of the fabric's edges.
 This module provides the coupling *operators* that close that gap, plus the
 batched right-hand-side model that consumes them:
 
-* :class:`SharedCoupling` — every replica sees the same sparse matrix (stage 1,
-  or any stage where all replicas agree on the grouping).  One sparse
-  matrix-times-dense-block product per evaluation.
-* :class:`BlockDiagonalCoupling` — per-replica sparse matrices stacked into a
-  single block-diagonal CSR matrix; the batch is flattened to ``(R*N,)`` for
-  one sparse matvec per evaluation.  Row-wise accumulation order matches the
-  per-replica matvec exactly, so results are bit-identical to sequential runs.
+* :class:`FastSharedCoupling` — every replica sees the same sparse matrix
+  (stage 1, or any stage where all replicas agree on the grouping): one
+  direct ``csr_matvecs`` kernel call per evaluation through reusable buffers.
+* :class:`FastBlockDiagonalCoupling` — per-replica gated matrices stacked into
+  one block-diagonal CSR, assembled by :func:`gated_block_diagonal_csr` (one
+  ``lexsort`` instead of a per-replica ``sparse.block_diag`` loop); one
+  ``csr_matvec`` per field and evaluation.  Row-wise accumulation order
+  matches the per-replica matvec exactly, so results are bit-identical to
+  evaluating each replica on its own.
 * :class:`GroupMaskedDenseCoupling` — a dense formulation that never
   materializes per-replica matrices: the gate ``[g_i == g_j]`` factors over
   group labels, turning the gated product into one dense GEMM per group
   (``coupling[r][i, j] = base[i, j] * [g_r[i] == g_r[j]]``).  Preferred for
   dense graphs, where CSR indirection wastes the hardware.
 
-The sparse operators additionally come in *precompiled* variants used by the
-solve hot path (:class:`repro.core.stages.CouplingPlan`):
-
-* :class:`FastSharedCoupling` skips scipy's ``__matmul__`` dispatch and drives
-  the same ``csr_matvecs`` kernel scipy uses directly, through reusable
-  input/output buffers — identical accumulation, identical bits, none of the
-  per-step wrapper overhead or temporaries.
-* :class:`FastBlockDiagonalCoupling` does the same for the block-diagonal
-  form and is constructed via :func:`gated_block_diagonal_csr`, a vectorized
-  ``indptr/indices/data`` assembly that replaces the per-replica Python loop
-  over ``sparse.block_diag`` blocks with a single ``lexsort`` (same canonical
-  CSR, built two orders of magnitude faster).
+The stage executor obtains its operators from
+:class:`repro.core.stages.CouplingPlan`, which builds them once per gating.
 
 :class:`BatchedOscillatorModel` mirrors
 :class:`repro.dynamics.kuramoto.CoupledOscillatorModel` (same physics, same
@@ -45,7 +37,7 @@ evaluation protocol the integrators prefer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -105,89 +97,34 @@ class CouplingOperator:
         return self.apply(first), self.apply(second)
 
 
-class SharedCoupling(CouplingOperator):
-    """All replicas share one sparse coupling matrix.
+class FastSharedCoupling(CouplingOperator):
+    """All replicas share one sparse coupling matrix, applied by scipy's kernels.
 
-    The evaluation is one CSR-times-dense product; each replica column
-    accumulates in the stored-index order of the CSR rows, exactly like the
-    single-replica matvec, so the result is bit-identical to evaluating each
-    replica separately.
-    """
+    Each replica column accumulates in the stored-index order of the CSR
+    rows, exactly like the single-replica matvec, so the result is
+    bit-identical to evaluating each replica separately.  ``apply_pair``
+    skips scipy's ``__matmul__`` dispatch (type sniffing, validation, fresh
+    result allocation — more than the matvec itself at solve sizes): it keeps
+    one ``(N, 2R)`` input and one output buffer alive and calls the
+    ``csr_matvecs`` C kernel scipy itself calls.
 
-    def __init__(self, matrix: Union[np.ndarray, sparse.spmatrix]) -> None:
-        if not sparse.issparse(matrix):
-            matrix = sparse.csr_matrix(np.asarray(matrix, dtype=float))
-        self.matrix = matrix.tocsr().astype(float)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise SimulationError(f"coupling matrix must be square, got {self.matrix.shape}")
-
-    def apply(self, field: np.ndarray) -> np.ndarray:
-        return (self.matrix @ field.T).T
-
-    def apply_pair(self, first: np.ndarray, second: np.ndarray):
-        replicas = first.shape[0]
-        stacked = np.concatenate([first, second], axis=0)
-        out = (self.matrix @ stacked.T).T
-        return out[:replicas], out[replicas:]
-
-
-class BlockDiagonalCoupling(CouplingOperator):
-    """Per-replica sparse matrices evaluated as one block-diagonal matvec."""
-
-    def __init__(self, blocks: Sequence[Union[np.ndarray, sparse.spmatrix]]) -> None:
-        blocks = [
-            block.tocsr() if sparse.issparse(block) else sparse.csr_matrix(np.asarray(block, dtype=float))
-            for block in blocks
-        ]
-        if not blocks:
-            raise SimulationError("BlockDiagonalCoupling needs at least one block")
-        size = blocks[0].shape[0]
-        for block in blocks:
-            if block.shape != (size, size):
-                raise SimulationError("all replica coupling blocks must be square and equally sized")
-        self.num_replicas = len(blocks)
-        self.num_oscillators = size
-        self.matrix = sparse.block_diag(blocks, format="csr").astype(float)
-
-    def apply(self, field: np.ndarray) -> np.ndarray:
-        replicas, num = field.shape
-        if replicas != self.num_replicas or num != self.num_oscillators:
-            raise SimulationError(
-                f"expected field of shape ({self.num_replicas}, {self.num_oscillators}), got {field.shape}"
-            )
-        return (self.matrix @ field.reshape(replicas * num)).reshape(replicas, num)
-
-    def apply_pair(self, first: np.ndarray, second: np.ndarray):
-        replicas, num = first.shape
-        stacked = np.empty((replicas * num, 2), dtype=float)
-        stacked[:, 0] = first.reshape(replicas * num)
-        stacked[:, 1] = second.reshape(replicas * num)
-        out = self.matrix @ stacked
-        return out[:, 0].reshape(replicas, num), out[:, 1].reshape(replicas, num)
-
-
-class FastSharedCoupling(SharedCoupling):
-    """:class:`SharedCoupling` with a direct-kernel, buffer-reusing ``apply_pair``.
-
-    The reference implementation concatenates the two fields and routes the
-    product through scipy's ``__matmul__``; that dispatch (type sniffing,
-    validation, fresh result allocation) costs more than the matvec itself at
-    solve sizes.  This variant keeps one ``(N, 2R)`` input and one output
-    buffer alive and calls the same ``csr_matvecs`` C kernel scipy calls, so
-    the accumulation order — and therefore every output bit — is unchanged.
-
-    The returned arrays are transposed views of the internal output buffer and
-    are only valid until the next ``apply_pair`` call (the RHS evaluation
+    The arrays ``apply_pair`` returns are transposed views of the internal
+    output buffer and are only valid until the next call (the RHS evaluation
     consumes them immediately).
     """
 
     def __init__(self, matrix: Union[np.ndarray, sparse.spmatrix], dtype=float) -> None:
-        super().__init__(matrix)
+        if not sparse.issparse(matrix):
+            matrix = sparse.csr_matrix(np.asarray(matrix, dtype=float))
         self._dtype = np.dtype(dtype)
-        if self.matrix.dtype != self._dtype:
-            self.matrix = self.matrix.astype(self._dtype)
+        self.matrix = matrix.tocsr().astype(self._dtype)
+        if self.matrix.shape[0] != self.matrix.shape[1]:
+            raise SimulationError(f"coupling matrix must be square, got {self.matrix.shape}")
         self._pair_in: Optional[np.ndarray] = None
         self._pair_out: Optional[np.ndarray] = None
+
+    def apply(self, field: np.ndarray) -> np.ndarray:
+        return (self.matrix @ field.T).T
 
     def apply_pair(self, first: np.ndarray, second: np.ndarray):
         if _csr_matvecs is None:  # pragma: no cover - scipy without C kernels
@@ -264,13 +201,14 @@ def gated_block_diagonal_csr(
     return sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
-class FastBlockDiagonalCoupling(BlockDiagonalCoupling):
-    """:class:`BlockDiagonalCoupling` built from a prebuilt CSR, kernels direct.
+class FastBlockDiagonalCoupling(CouplingOperator):
+    """Per-replica gated matrices evaluated as one block-diagonal CSR matvec.
 
-    Constructed via :meth:`from_group_values` (the precompiled-plan path) so
-    no per-replica Python loop ever runs; ``apply_pair`` drives the
-    ``csr_matvec`` kernel once per field through reusable output buffers,
-    returning reshaped views that are valid until the next call.
+    Row-wise accumulation matches each replica's own matvec, so results are
+    bit-identical to evaluating the replicas separately.  Built via
+    :meth:`from_group_values` (no per-replica Python loop); ``apply_pair``
+    drives the ``csr_matvec`` kernel once per field through reusable output
+    buffers, returning reshaped views that are valid until the next call.
     """
 
     def __init__(
@@ -278,6 +216,11 @@ class FastBlockDiagonalCoupling(BlockDiagonalCoupling):
     ) -> None:
         self._dtype = np.dtype(dtype)
         self.matrix = matrix.tocsr().astype(self._dtype)
+        if self.matrix.shape != (num_replicas * num_oscillators,) * 2:
+            raise SimulationError(
+                f"block-diagonal matrix of shape {self.matrix.shape} does not hold "
+                f"{num_replicas} blocks of {num_oscillators} oscillators"
+            )
         self.num_replicas = num_replicas
         self.num_oscillators = num_oscillators
         self._out_first: Optional[np.ndarray] = None
@@ -297,6 +240,14 @@ class FastBlockDiagonalCoupling(BlockDiagonalCoupling):
             edge_index, group_values, num_oscillators, coupling_rate, dtype=dtype
         )
         return cls(matrix, group_values.shape[0], num_oscillators, dtype=dtype)
+
+    def apply(self, field: np.ndarray) -> np.ndarray:
+        replicas, num = field.shape
+        if replicas != self.num_replicas or num != self.num_oscillators:
+            raise SimulationError(
+                f"expected field of shape ({self.num_replicas}, {self.num_oscillators}), got {field.shape}"
+            )
+        return (self.matrix @ field.reshape(replicas * num)).reshape(replicas, num)
 
     def apply_pair(self, first: np.ndarray, second: np.ndarray):
         if _csr_matvec is None:  # pragma: no cover - scipy without C kernels

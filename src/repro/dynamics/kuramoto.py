@@ -164,7 +164,7 @@ class CoupledOscillatorModel:
         """
         if phases.ndim != 1:
             # Batched inputs take the reference expressions; this entry point
-            # is hot only for the sequential (N,) stage path.
+            # is hot only for the single-stage baseline's (N,) integration.
             np.copyto(out, self(time, phases))
             return out
         if phases.shape != (self._num,) or out.shape != (self._num,):

@@ -81,11 +81,23 @@ class TestStageHelpers:
             num_oscillators=graph.num_nodes,
         )
         rng = make_rng(3)
-        phases = rng.uniform(0, 2 * np.pi, graph.num_nodes)
-        final, bits, trajectory = executor.run_stage(1, phases, np.zeros(graph.num_nodes, dtype=int), rng)
-        assert final.shape == (16,)
+        phases = rng.uniform(0, 2 * np.pi, (1, graph.num_nodes))
+        final, bits, trajectory = executor.run_stage(1, phases, np.zeros((1, graph.num_nodes), dtype=int), rng)
+        assert final.shape == (1, 16)
         assert set(np.unique(bits)) <= {0, 1}
         assert trajectory is None
+
+    def test_stage_executor_rejects_flat_phases(self, fast_config):
+        graph = kings_graph(3, 3)
+        executor = StageExecutor(
+            config=fast_config,
+            edge_index=graph.edge_index_array(),
+            num_oscillators=graph.num_nodes,
+        )
+        with pytest.raises(StageError):
+            executor.run_stage(1, np.zeros(9), np.zeros(9, dtype=int), make_rng(1))
+        with pytest.raises(StageError):
+            executor.run_stage(1, np.zeros((2, 9)), np.zeros((1, 9), dtype=int), make_rng(1))
 
     def test_stage_executor_trajectory_collection(self, fast_config):
         graph = kings_graph(3, 3)
@@ -96,9 +108,10 @@ class TestStageHelpers:
             collect_trajectory=True,
         )
         rng = make_rng(4)
-        phases = rng.uniform(0, 2 * np.pi, graph.num_nodes)
-        _, _, trajectory = executor.run_stage(1, phases, np.zeros(graph.num_nodes, dtype=int), rng)
+        phases = rng.uniform(0, 2 * np.pi, (1, graph.num_nodes))
+        _, _, trajectory = executor.run_stage(1, phases, np.zeros((1, graph.num_nodes), dtype=int), rng)
         assert trajectory is not None
+        assert trajectory.phases.shape[1:] == (1, graph.num_nodes)
         assert trajectory.times[0] == 0.0
         expected_duration = (
             fast_config.timing.initialization

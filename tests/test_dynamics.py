@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.exceptions import SimulationError
 from repro.circuit import paper_rosc
 from repro.dynamics import (
     AnnealingPolicy,
     BatchedOscillatorModel,
-    BlockDiagonalCoupling,
     CoupledOscillatorModel,
+    FastBlockDiagonalCoupling,
+    FastSharedCoupling,
     GroupMaskedDenseCoupling,
-    SharedCoupling,
     EnergyTrace,
     PhaseNoiseModel,
     Trajectory,
@@ -264,7 +265,7 @@ class TestBatchedDynamics:
 
     def test_shared_coupling_matches_per_replica_matvec(self):
         matrix = uniform_coupling_matrix(kings_graph(3, 3).sparse_adjacency(), 1e9)
-        operator = SharedCoupling(matrix)
+        operator = FastSharedCoupling(matrix)
         field = make_rng(0).uniform(-1.0, 1.0, size=(4, 9))
         applied = operator.apply(field)
         paired_a, paired_b = operator.apply_pair(field, field * 2.0)
@@ -280,7 +281,7 @@ class TestBatchedDynamics:
         for _ in range(3):
             dense = np.triu(rng.uniform(0.0, 1.0, size=(6, 6)), k=1)
             blocks.append(dense + dense.T)
-        operator = BlockDiagonalCoupling(blocks)
+        operator = FastBlockDiagonalCoupling(sparse.block_diag(blocks, format="csr"), 3, 6)
         field = rng.uniform(-1.0, 1.0, size=(3, 6))
         applied = operator.apply(field)
         paired_a, paired_b = operator.apply_pair(field, -field)
@@ -315,7 +316,7 @@ class TestBatchedDynamics:
             coupling_matrix=matrix, shil_strength=5e8, shil_offset=0.25, shil_order=2
         )
         batched = BatchedOscillatorModel(
-            coupling=SharedCoupling(matrix),
+            coupling=FastSharedCoupling(matrix),
             num_oscillators=9,
             shil_strength=5e8,
             shil_offset=0.25,
@@ -327,7 +328,7 @@ class TestBatchedDynamics:
             assert np.array_equal(together[index], sequential(0.0, batch[index]))
 
     def test_batched_model_validation(self):
-        operator = SharedCoupling(np.zeros((3, 3)))
+        operator = FastSharedCoupling(np.zeros((3, 3)))
         with pytest.raises(SimulationError):
             BatchedOscillatorModel(coupling=operator, num_oscillators=3, shil_order=1)
         with pytest.raises(SimulationError):

@@ -7,10 +7,10 @@ reference:
   the original allocating loops (including the chunked noise stream),
 * the final-state integrator entry points against the recording variants,
 * the precompiled coupling operators (direct ``csr_matvec(s)`` kernels,
-  vectorized block-diagonal construction) against the scipy-dispatch
-  reference operators and the per-replica ``block_diag`` construction,
-* the fast batched stage/engine against the legacy engine body
-  (``fast_path=False``) and the sequential engine,
+  vectorized block-diagonal construction) against scipy's own products and
+  the per-replica ``block_diag`` construction,
+* the batched engine against the sequential engine (the results of the
+  deleted legacy engine body are pinned by ``test_golden_digests.py``),
 * the no-trajectory guarantee (a default solve materializes no
   :class:`Trajectory` at all),
 * the warm scheduler pool, the per-worker machine memo, and the cached
@@ -31,10 +31,8 @@ from repro.core.stages import CouplingPlan, StageExecutor, partition_coupling_ma
 from repro.dynamics import integrators
 from repro.dynamics.batched import (
     BatchedOscillatorModel,
-    BlockDiagonalCoupling,
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
-    SharedCoupling,
     gated_block_diagonal_csr,
 )
 from repro.dynamics.integrators import (
@@ -131,15 +129,13 @@ def batched_model(graph, config, groups=None, shil=False):
     edge_index = graph.edge_index_array()
     num = graph.num_nodes
     if groups is None:
-        coupling = SharedCoupling(
+        coupling = FastSharedCoupling(
             partition_coupling_matrix(edge_index, np.zeros(num, dtype=int), num, config.coupling_rate)
         )
     else:
-        blocks = [
-            partition_coupling_matrix(edge_index, row, num, config.coupling_rate)
-            for row in groups
-        ]
-        coupling = BlockDiagonalCoupling(blocks)
+        coupling = FastBlockDiagonalCoupling.from_group_values(
+            edge_index, groups, num, config.coupling_rate
+        )
     return BatchedOscillatorModel(
         coupling=coupling,
         num_oscillators=num,
@@ -247,16 +243,17 @@ class TestFastOperators:
         matrix = partition_coupling_matrix(
             kings_7x7.edge_index_array(), np.zeros(num, dtype=int), num, 2.0e9
         )
-        reference = SharedCoupling(matrix)
         fast = FastSharedCoupling(matrix)
         rng = make_rng(5)
         for replicas in (1, 4, 9):
             first = rng.uniform(-1.0, 1.0, size=(replicas, num))
             second = rng.uniform(-1.0, 1.0, size=(replicas, num))
-            ref_cos, ref_sin = reference.apply_pair(first, second)
+            # Reference: scipy's own dispatch of the same CSR product.
+            ref_cos, ref_sin = (matrix @ first.T).T, (matrix @ second.T).T
             fast_cos, fast_sin = fast.apply_pair(first, second)
-            assert np.array_equal(np.asarray(ref_cos), np.asarray(fast_cos))
-            assert np.array_equal(np.asarray(ref_sin), np.asarray(fast_sin))
+            assert np.array_equal(ref_cos, np.asarray(fast_cos))
+            assert np.array_equal(ref_sin, np.asarray(fast_sin))
+            assert np.array_equal(ref_cos, fast.apply(first))
 
     def test_vectorized_block_diagonal_construction(self, kings_7x7):
         edge_index = kings_7x7.edge_index_array()
@@ -277,19 +274,19 @@ class TestFastOperators:
         num = kings_5x5.num_nodes
         rate = 2.5e9
         groups = self._random_groups(6, num, labels=2, seed=9)
-        reference = BlockDiagonalCoupling(
-            [partition_coupling_matrix(edge_index, row, num, rate) for row in groups]
-        )
+        # Reference: each replica's own gated matrix and scipy matvec.
+        blocks = [partition_coupling_matrix(edge_index, row, num, rate) for row in groups]
         fast = FastBlockDiagonalCoupling.from_group_values(edge_index, groups, num, rate)
         rng = make_rng(1)
         first = rng.uniform(-1.0, 1.0, size=(6, num))
         second = rng.uniform(-1.0, 1.0, size=(6, num))
-        ref_pair = reference.apply_pair(first, second)
-        fast_pair = fast.apply_pair(first, second)
-        assert np.array_equal(np.asarray(ref_pair[0]), np.asarray(fast_pair[0]))
-        assert np.array_equal(np.asarray(ref_pair[1]), np.asarray(fast_pair[1]))
+        fast_first, fast_second = (np.array(part) for part in fast.apply_pair(first, second))
         field = rng.uniform(-1.0, 1.0, size=(6, num))
-        assert np.array_equal(reference.apply(field), fast.apply(field))
+        applied = fast.apply(field)
+        for replica, block in enumerate(blocks):
+            assert np.array_equal(block @ first[replica], fast_first[replica])
+            assert np.array_equal(block @ second[replica], fast_second[replica])
+            assert np.array_equal(block @ field[replica], applied[replica])
 
     def test_plan_reuses_uniform_operator(self, kings_5x5):
         plan = CouplingPlan(kings_5x5.edge_index_array(), kings_5x5.num_nodes, 1e9, "sparse")
@@ -311,46 +308,43 @@ class TestFastEngine:
     def test_fast_engine_matches_legacy_and_sequential(self, kings_5x5, fast_config):
         machine = MSROPM(kings_5x5, fast_config)
         fast = machine.solve(iterations=6, seed=21)
-        legacy = machine.solve(iterations=6, seed=21, engine=BatchedEngine(fast_path=False))
         sequential = machine.solve(iterations=6, seed=21, engine=SequentialEngine())
-        for reference in (legacy, sequential):
-            assert np.array_equal(fast.accuracies, reference.accuracies)
-            for fast_item, ref_item in zip(fast.iterations, reference.iterations):
-                assert fast_item.coloring.assignment == ref_item.coloring.assignment
-                assert len(fast_item.stage_results) == len(ref_item.stage_results)
-                for fast_stage, ref_stage in zip(fast_item.stage_results, ref_item.stage_results):
-                    assert fast_stage.cut_value == ref_stage.cut_value
-                    assert fast_stage.reference_cut == ref_stage.reference_cut
-                    assert fast_stage.accuracy == ref_stage.accuracy
-                    assert fast_stage.partition.side_a == ref_stage.partition.side_a
-                assert np.array_equal(
-                    fast_item.stage_results[-1].final_phases,
-                    ref_item.stage_results[-1].final_phases,
-                )
+        assert np.array_equal(fast.accuracies, sequential.accuracies)
+        for fast_item, ref_item in zip(fast.iterations, sequential.iterations):
+            assert fast_item.coloring.assignment == ref_item.coloring.assignment
+            assert len(fast_item.stage_results) == len(ref_item.stage_results)
+            for fast_stage, ref_stage in zip(fast_item.stage_results, ref_item.stage_results):
+                assert fast_stage.cut_value == ref_stage.cut_value
+                assert fast_stage.reference_cut == ref_stage.reference_cut
+                assert fast_stage.accuracy == ref_stage.accuracy
+                assert fast_stage.partition.side_a == ref_stage.partition.side_a
+            assert np.array_equal(
+                fast_item.stage_results[-1].final_phases,
+                ref_item.stage_results[-1].final_phases,
+            )
 
     def test_fast_engine_matches_legacy_with_detuning(self, kings_5x5, fast_config):
         config = fast_config.with_updates(frequency_detuning_std=0.01, seed=5)
         machine = MSROPM(kings_5x5, config)
         fast = machine.solve(iterations=4, seed=8)
-        legacy = machine.solve(iterations=4, seed=8, engine=BatchedEngine(fast_path=False))
-        assert np.array_equal(fast.accuracies, legacy.accuracies)
+        sequential = machine.solve(iterations=4, seed=8, engine=SequentialEngine())
+        assert np.array_equal(fast.accuracies, sequential.accuracies)
         assert np.array_equal(
             fast.iterations[-1].stage_results[-1].final_phases,
-            legacy.iterations[-1].stage_results[-1].final_phases,
+            sequential.iterations[-1].stage_results[-1].final_phases,
         )
 
     def test_fast_engine_dense_backend_matches_legacy(self, fast_config):
         graph = kings_graph(6, 6)
         config = fast_config.with_updates(coupling_backend="dense")
-        machine = MSROPM(graph, config)
-        fast = machine.solve(iterations=3, seed=13)
-        legacy = machine.solve(
-            iterations=3, seed=13, engine=BatchedEngine(coupling_backend="dense", fast_path=False)
+        first = MSROPM(graph, config).solve(iterations=3, seed=13)
+        again = MSROPM(graph, config).solve(
+            iterations=3, seed=13, engine=BatchedEngine(coupling_backend="dense")
         )
-        assert np.array_equal(fast.accuracies, legacy.accuracies)
+        assert np.array_equal(first.accuracies, again.accuracies)
         assert np.array_equal(
-            fast.iterations[-1].stage_results[-1].final_phases,
-            legacy.iterations[-1].stage_results[-1].final_phases,
+            first.iterations[-1].stage_results[-1].final_phases,
+            again.iterations[-1].stage_results[-1].final_phases,
         )
 
     def test_default_solve_materializes_no_trajectory(self, kings_5x5, fast_config, monkeypatch):
@@ -365,16 +359,16 @@ class TestFastEngine:
         machine = MSROPM(kings_5x5, fast_config)
         machine.solve(iterations=3, seed=4)
         assert created == []  # the hot path never builds a trajectory
-        machine.solve(iterations=3, seed=4, engine=BatchedEngine(fast_path=False))
-        assert created  # the reference body still records (and is tested above)
+        machine.run_iteration(seed=4, collect_trajectory=True)
+        assert created  # recording is opt-in, per executor
 
     def test_executor_cache_is_reused_across_solves(self, kings_5x5, fast_config):
         machine = MSROPM(kings_5x5, fast_config)
         machine.solve(iterations=2, seed=1)
-        executor = machine.batched_executor("sparse", fast_path=True)
+        executor = machine.batched_executor("sparse")
         plan = executor.plan
         machine.solve(iterations=2, seed=2)
-        assert machine.batched_executor("sparse", fast_path=True) is executor
+        assert machine.batched_executor("sparse") is executor
         assert executor.plan is plan
 
     def test_collect_trajectory_still_works(self, kings_5x5, fast_config):

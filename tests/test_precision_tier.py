@@ -19,10 +19,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StageError
 from repro.core.config import MSROPMConfig
 from repro.core.engine import BatchedEngine, SequentialEngine
 from repro.core.machine import MSROPM
+from repro.core.stages import StageExecutor
 from repro.dynamics.batched import BatchedOscillatorModel, ThroughputOptions, ThroughputOscillatorModel
 from repro.rng import ThroughputRNG, normal_noise_block
 from repro.runtime.cache import ResultCache
@@ -55,11 +56,18 @@ class TestPrecisionConfig:
         with pytest.raises(ConfigurationError):
             machine.solve(iterations=2)
 
-    def test_throughput_requires_fast_path(self, kings_5x5):
-        config = MSROPMConfig(num_colors=4, seed=3, precision="throughput")
-        machine = MSROPM(kings_5x5, config)
-        with pytest.raises(ConfigurationError):
-            machine.solve(iterations=2, engine=BatchedEngine(fast_path=False))
+    def test_throughput_rejects_trajectory_recording(self, kings_5x5):
+        config = MSROPMConfig(num_colors=4, seed=3)
+        executor = StageExecutor(
+            config=config,
+            edge_index=kings_5x5.edge_index_array(),
+            num_oscillators=kings_5x5.num_nodes,
+            collect_trajectory=True,
+            precision="throughput",
+        )
+        phases = np.zeros((2, kings_5x5.num_nodes))
+        with pytest.raises(StageError):
+            executor.run_stage(1, phases, np.zeros(phases.shape, dtype=int), ThroughputRNG([1, 2]))
 
 
 # ----------------------------------------------------------------------
@@ -176,12 +184,15 @@ class TestThroughputSolve:
         result = MSROPM(kings_5x5, config).solve(iterations=3)
         assert result.metadata["precision"] == "exact"
         assert result.metadata["dtype"] == "float64"
-        # The exact tier must be unaffected by the tier machinery: batched
-        # fast path vs the legacy engine body stay bit-identical.
-        legacy = MSROPM(kings_5x5, config).solve(
-            iterations=3, engine=BatchedEngine(fast_path=False)
-        )
-        assert np.array_equal(result.accuracies, legacy.accuracies)
+        # The exact tier must be unaffected by the tier machinery: the batched
+        # and sequential engines stay bit-identical.
+        sequential = MSROPM(kings_5x5, config).solve(iterations=3, engine=SequentialEngine())
+        assert np.array_equal(result.accuracies, sequential.accuracies)
+        for batched_item, sequential_item in zip(result.iterations, sequential.iterations):
+            assert np.array_equal(
+                batched_item.stage_results[-1].final_phases,
+                sequential_item.stage_results[-1].final_phases,
+            )
 
     def test_relaxations_individually_switchable(self, kings_5x5):
         for options in (
