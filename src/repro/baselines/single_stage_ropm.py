@@ -11,7 +11,7 @@ once and are then pinned by a single SHIL of order ``num_colors``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,13 +19,13 @@ from repro.exceptions import ConfigurationError
 from repro.core.config import MSROPMConfig
 from repro.core.metrics import coloring_accuracy
 from repro.core.results import IterationResult, SolveResult
+from repro.dynamics.batched import BatchedOscillatorModel, FastSharedCoupling
 from repro.dynamics.integrators import euler_maruyama_final
-from repro.dynamics.kuramoto import CoupledOscillatorModel
 from repro.dynamics.noise import random_initial_phases
 from repro.graphs.coloring import Coloring
 from repro.graphs.graph import Graph
 from repro.ising.vector_potts import phases_to_spins
-from repro.rng import iteration_seeds, make_rng
+from repro.rng import ReplicaRNG, iteration_seeds, make_rng
 from repro.core.stages import partition_coupling_matrix
 
 
@@ -59,7 +59,17 @@ class SingleStageROPM:
         # The base config validates num_colors as a power of two, which does not
         # apply to the single-stage machine; borrow its circuit parameters only.
         self._config = self.config or MSROPMConfig(num_colors=4)
-        self._edge_index = self.graph.edge_index_array()
+        num = self.graph.num_nodes
+        # Every oscillator shares one group, so the one coupling matrix is the
+        # ungated fabric, the same for every replica.
+        self._coupling = FastSharedCoupling(
+            partition_coupling_matrix(
+                self.graph.edge_index_array(),
+                np.zeros(num, dtype=int),
+                num,
+                self._config.coupling_rate,
+            )
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -69,8 +79,23 @@ class SingleStageROPM:
 
     def run_iteration(self, iteration_index: int = 0, seed: Optional[int] = None) -> IterationResult:
         """One run: anneal the coupled oscillators, lock with the order-N SHIL, read out."""
+        return self._run([seed], first_index=iteration_index)[0]
+
+    def solve(self, iterations: int = 40, seed: Optional[int] = None) -> SolveResult:
+        """Run ``iterations`` independent runs as one replica batch.
+
+        Every run draws from its own seeded stream, so the results are
+        bit-identical to calling :meth:`run_iteration` once per seed.
+        """
+        if iterations < 1:
+            raise ConfigurationError("iterations must be at least 1")
+        results = self._run(iteration_seeds(seed, iterations))
+        return SolveResult(graph=self.graph, num_colors=self.num_colors, iterations=results)
+
+    def _run(self, seeds: Sequence[Optional[int]], first_index: int = 0) -> List[IterationResult]:
+        """Integrate one ``(R, N)`` batch, one replica per seed, and read each row out."""
         config = self._config
-        rng = make_rng(seed)
+        rng = ReplicaRNG([make_rng(seed) for seed in seeds])
         num = self.graph.num_nodes
         timing = config.timing
         diffusion = config.phase_noise_diffusion
@@ -81,17 +106,17 @@ class SingleStageROPM:
         if std > 0:
             phases = phases + rng.normal(0.0, std, size=num)
 
-        group_values = np.zeros(num, dtype=int)
-        coupling = partition_coupling_matrix(self._edge_index, group_values, num, config.coupling_rate)
-
-        anneal_model = CoupledOscillatorModel(coupling_matrix=coupling, shil_strength=0.0)
+        anneal_model = BatchedOscillatorModel(
+            coupling=self._coupling, num_oscillators=num, shil_strength=0.0
+        )
         phases = euler_maruyama_final(
             anneal_model, phases, timing.annealing, config.time_step,
             noise_amplitude=diffusion, seed=rng,
         )
 
-        lock_model = CoupledOscillatorModel(
-            coupling_matrix=coupling,
+        lock_model = BatchedOscillatorModel(
+            coupling=self._coupling,
+            num_oscillators=num,
             shil_strength=config.shil_rate,
             shil_offset=0.0,
             shil_order=self.num_colors,
@@ -103,23 +128,17 @@ class SingleStageROPM:
         )
 
         spins = phases_to_spins(phases, self.num_colors)
-        coloring = Coloring.from_array(self.graph, spins, self.num_colors)
-        accuracy = coloring_accuracy(self.graph, coloring)
-        return IterationResult(
-            iteration_index=iteration_index,
-            seed=int(seed) if seed is not None else -1,
-            coloring=coloring,
-            accuracy=accuracy,
-            stage_results=[],
-            run_time=self.run_time,
-        )
-
-    def solve(self, iterations: int = 40, seed: Optional[int] = None) -> SolveResult:
-        """Run ``iterations`` independent single-stage runs."""
-        if iterations < 1:
-            raise ConfigurationError("iterations must be at least 1")
-        seeds = iteration_seeds(seed, iterations)
-        results = [
-            self.run_iteration(iteration_index=i, seed=seeds[i]) for i in range(iterations)
-        ]
-        return SolveResult(graph=self.graph, num_colors=self.num_colors, iterations=results)
+        results = []
+        for offset, (seed, row) in enumerate(zip(seeds, spins)):
+            coloring = Coloring.from_array(self.graph, row, self.num_colors)
+            results.append(
+                IterationResult(
+                    iteration_index=first_index + offset,
+                    seed=int(seed) if seed is not None else -1,
+                    coloring=coloring,
+                    accuracy=coloring_accuracy(self.graph, coloring),
+                    stage_results=[],
+                    run_time=self.run_time,
+                )
+            )
+        return results

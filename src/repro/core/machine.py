@@ -323,8 +323,7 @@ class MSROPM:
 
     def _decode_coloring(self, group_values: np.ndarray) -> Coloring:
         """Convert the accumulated phase-grid indices into a coloring."""
-        assignment = {node: int(value) for node, value in zip(self._nodes, group_values)}
-        return Coloring(assignment=assignment, num_colors=self.config.num_colors)
+        return Coloring.from_array(self.graph, group_values, self.config.num_colors)
 
     # ------------------------------------------------------------------
     def estimated_power(self, power_model: Optional[PowerModel] = None) -> float:

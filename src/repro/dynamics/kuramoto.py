@@ -163,8 +163,8 @@ class CoupledOscillatorModel:
         ``out`` must not alias ``phases``.
         """
         if phases.ndim != 1:
-            # Batched inputs take the reference expressions; this entry point
-            # is hot only for the single-stage baseline's (N,) integration.
+            # Batched inputs take the reference expressions; the solvers
+            # integrate batches through BatchedOscillatorModel instead.
             np.copyto(out, self(time, phases))
             return out
         if phases.shape != (self._num,) or out.shape != (self._num,):

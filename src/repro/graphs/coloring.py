@@ -73,20 +73,44 @@ class Coloring:
 
     def as_array(self, graph: Graph) -> np.ndarray:
         """Return the coloring as an integer array in the graph's node order."""
-        if not self.covers(graph):
-            raise ColoringError("coloring does not cover every node of the graph")
-        return np.array([self.assignment[node] for node in graph.nodes], dtype=np.int64)
+        try:
+            return np.fromiter(
+                map(self.assignment.__getitem__, graph.nodes), dtype=np.int64, count=graph.num_nodes
+            )
+        except KeyError:
+            raise ColoringError("coloring does not cover every node of the graph") from None
 
     @classmethod
     def from_array(cls, graph: Graph, colors: Sequence[int], num_colors: int) -> "Coloring":
-        """Build a coloring from an array aligned with ``graph.nodes``."""
-        colors = list(colors)
-        if len(colors) != graph.num_nodes:
+        """Build a coloring from an array aligned with ``graph.nodes``.
+
+        Validation is one vectorized dtype and range check over the whole
+        array (raising the same errors as the per-node constructor), so
+        decoding a large coloring costs no per-node Python beyond building
+        the assignment dictionary.
+        """
+        array = np.asarray(colors)
+        nodes = graph.nodes
+        if array.ndim != 1 or array.shape[0] != len(nodes):
+            raise ColoringError(f"expected {len(nodes)} colors, got {np.size(array)}")
+        if num_colors <= 0:
+            raise ColoringError(f"num_colors must be positive, got {num_colors}")
+        if array.size and array.dtype.kind not in "iub":
             raise ColoringError(
-                f"expected {graph.num_nodes} colors, got {len(colors)}"
+                f"color of node {nodes[0]!r} must be an integer, got {array[0]!r}"
             )
-        assignment = {node: int(color) for node, color in zip(graph.nodes, colors)}
-        return cls(assignment=assignment, num_colors=num_colors)
+        outside = np.flatnonzero((array < 0) | (array >= num_colors))
+        if outside.size:
+            first = int(outside[0])
+            raise ColoringError(
+                f"color {array[first]} of node {nodes[first]!r} outside [0, {num_colors})"
+            )
+        if array.dtype.kind == "b":
+            array = array.astype(np.int64)
+        coloring = cls.__new__(cls)
+        coloring.assignment = dict(zip(nodes, array.tolist()))
+        coloring.num_colors = int(num_colors)
+        return coloring
 
     # ------------------------------------------------------------------
     def conflicting_edges(self, graph: Graph) -> List[Tuple[Node, Node]]:

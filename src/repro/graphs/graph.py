@@ -120,9 +120,9 @@ class Graph:
         """Return every edge exactly once, ordered by node index."""
         index = self.node_index()
         result: List[Edge] = []
-        for u in self._order:
+        for position, u in enumerate(self._order):
             for v in self._adjacency[u]:
-                if index[u] < index[v]:
+                if position < index[v]:
                     result.append((u, v))
         return result
 
@@ -235,9 +235,15 @@ class Graph:
     def edge_index_array(self) -> np.ndarray:
         """Return an ``(E, 2)`` integer array of edges in node-index space."""
         index = self.node_index()
-        if self.num_edges == 0:
+        pairs = [
+            (position, other)
+            for position, u in enumerate(self._order)
+            for other in map(index.__getitem__, self._adjacency[u])
+            if position < other
+        ]
+        if not pairs:
             return np.zeros((0, 2), dtype=np.int64)
-        return np.array([(index[u], index[v]) for u, v in self.edges()], dtype=np.int64)
+        return np.array(pairs, dtype=np.int64)
 
     def to_networkx(self):
         """Return an equivalent :class:`networkx.Graph`."""

@@ -138,17 +138,19 @@ def read_graph(path: PathLike) -> Graph:
 # ----------------------------------------------------------------------
 # JSON (labels preserved)
 # ----------------------------------------------------------------------
-def _encode_node(node: Node):
+def encode_node(node: Node):
+    """JSON form of a node label (tuples, nested ones too, survive the round trip)."""
     if isinstance(node, tuple):
-        return {"__tuple__": [_encode_node(item) for item in node]}
+        return {"__tuple__": [encode_node(item) for item in node]}
     return node
 
 
-def _decode_node(obj):
+def decode_node(obj):
+    """Inverse of :func:`encode_node`."""
     if isinstance(obj, dict) and "__tuple__" in obj:
-        return tuple(_decode_node(item) for item in obj["__tuple__"])
+        return tuple(decode_node(item) for item in obj["__tuple__"])
     if isinstance(obj, list):
-        return tuple(_decode_node(item) for item in obj)
+        return tuple(decode_node(item) for item in obj)
     return obj
 
 
@@ -156,8 +158,8 @@ def to_json(graph: Graph) -> str:
     """Serialize ``graph`` (including node labels) to a JSON string."""
     payload = {
         "name": graph.name,
-        "nodes": [_encode_node(node) for node in graph.nodes],
-        "edges": [[_encode_node(u), _encode_node(v)] for u, v in graph.edges()],
+        "nodes": [encode_node(node) for node in graph.nodes],
+        "edges": [[encode_node(u), encode_node(v)] for u, v in graph.edges()],
     }
     return json.dumps(payload)
 
@@ -172,9 +174,9 @@ def from_json(text: str) -> Graph:
         raise GraphError("graph JSON must contain 'nodes' and 'edges'")
     graph = Graph(name=payload.get("name", ""))
     for node in payload["nodes"]:
-        graph.add_node(_decode_node(node))
+        graph.add_node(decode_node(node))
     for u, v in payload["edges"]:
-        graph.add_edge(_decode_node(u), _decode_node(v))
+        graph.add_edge(decode_node(u), decode_node(v))
     return graph
 
 

@@ -112,9 +112,9 @@ class ResultCache:
     """Content-addressed artifact store of job result payloads.
 
     Entries are keyed by :attr:`repro.runtime.jobs.Job.job_hash` and store the
-    job's own serialized payload form (``job.encode``), so every job type —
-    MSROPM solves, baseline runs — shares one store with uniform atomicity,
-    integrity, invalidation and miss semantics.
+    job's own serialized payload form (what ``job.execute`` returned), so
+    every job type — MSROPM solves, baseline runs — shares one store with
+    uniform atomicity, integrity, invalidation and miss semantics.
 
     Parameters
     ----------
@@ -213,12 +213,19 @@ class ResultCache:
             return None
         return envelope
 
-    def store(self, job: Job, result: Any) -> None:
+    def store(self, job: Job, result: Any, payload: Optional[Dict] = None) -> None:
         """Persist a decoded ``result`` for ``job`` (atomic write, last writer
-        wins).  The job serializes its own payload via ``job.encode``."""
+        wins).
+
+        ``payload`` is the job's persisted form of ``result`` when the caller
+        already holds it — the payload the worker produced, which the runner
+        passes so a computed result is encoded exactly once.  Without it the
+        job serializes ``result`` itself via ``job.encode``.
+        """
         if not job.cacheable:
             return
-        payload = job.encode(result)
+        if payload is None:
+            payload = job.encode(result)
         envelope = {
             "cache_schema": CACHE_SCHEMA_VERSION,
             "job_hash": job.job_hash,

@@ -285,8 +285,9 @@ class Job(ABC):
       format, so a result is identical whether it was computed inline, in a
       worker process, or read back from the cache,
     * :meth:`decode` turns a payload back into the rich result the caller
-      consumes; :meth:`encode` is its inverse (used when storing a decoded
-      result),
+      consumes; :meth:`encode` is its inverse (used to serve a decoded
+      result; the runner stores the payload :meth:`execute` produced and
+      never re-encodes),
     * :meth:`describe` is the job's full hashed identity; two jobs with equal
       descriptions are interchangeable and share one cache entry.
 
@@ -329,10 +330,12 @@ class Job(ABC):
         return result
 
     def validate(self, result: Any) -> bool:
-        """Whether a decoded (possibly cached) result is complete for this job.
+        """Whether a decoded result is complete for this job.
 
-        The cache calls this on loaded entries; returning ``False`` turns a
-        partial or foreign entry under our key into a miss.
+        The runner calls this on every freshly computed result before it is
+        memoized or stored (an invalid one fails its job instead), and the
+        cache on loaded entries, where ``False`` turns a partial or foreign
+        entry under our key into a miss.
         """
         return True
 
@@ -513,9 +516,16 @@ class SolveJob(Job):
         return solve_result_to_dict(self.run())
 
     def decode(self, payload: Dict) -> SolveResult:
+        """Rebuild the result, reusing the memoized graph when the process has one.
+
+        The payload's graph is rebuilt from its index pairs only when the
+        machine memo does not hold this job's graph; either way its node and
+        edge counts are checked against the payload.
+        """
         from repro.analysis.results_io import solve_result_from_dict
 
-        return solve_result_from_dict(payload)
+        graph = memoized_graph(self.spec, self.config) if self.memoizable else None
+        return solve_result_from_dict(payload, graph)
 
     def encode(self, result: SolveResult) -> Dict:
         from repro.analysis.results_io import solve_result_to_dict
@@ -523,7 +533,7 @@ class SolveJob(Job):
         return solve_result_to_dict(result)
 
     def validate(self, result: SolveResult) -> bool:
-        """A cached entry must carry exactly this job's replica range."""
+        """A result must carry exactly this job's replica range."""
         return len(result.iterations) == self.num_replicas
 
 
@@ -554,6 +564,15 @@ def clear_machine_memo() -> None:
     _MACHINE_MEMO.clear()
     MACHINE_MEMO_STATS["hits"] = 0
     MACHINE_MEMO_STATS["builds"] = 0
+
+
+def memoized_graph(spec: GraphSpec, config: MSROPMConfig) -> Optional[Graph]:
+    """The graph the machine memo holds for this spec/config pair, or ``None``.
+
+    A lookup only: it never builds, and it does not count as a memo hit.
+    """
+    entry = _MACHINE_MEMO.get(machine_memo_key(spec, config))
+    return None if entry is None else entry[0]
 
 
 def build_machine(spec: GraphSpec, config: MSROPMConfig, memoize: bool = True):

@@ -58,7 +58,7 @@ from repro.obs.metrics import get_metrics
 from repro.runtime.cache import ResultCache
 from repro.runtime.executors import ProgressCallback, make_backend
 from repro.runtime.jobs import GraphSpec, Job, SolveJob, as_graph_spec, merge_job_results
-from repro.runtime.scheduler import JobScheduler
+from repro.runtime.scheduler import DecodedBatch, JobScheduler
 
 #: Ticket lifecycle states.  ``pending`` — queued, not yet handed to the
 #: scheduler; ``running`` — part of the batch the drain thread is executing;
@@ -74,6 +74,11 @@ TICKET_ACTIVE_STATES = (TICKET_PENDING, TICKET_RUNNING)
 
 #: The terminal states.
 TICKET_FINAL_STATES = (TICKET_DONE, TICKET_FAILED)
+
+
+def _invalid_result_message(job: Job) -> str:
+    name = job.job_hash if job.cacheable else "(uncacheable)"
+    return f"job {name} {job.label} produced a result that fails validation; nothing was stored"
 
 
 class SubmitQueueFull(ReproError):
@@ -289,7 +294,10 @@ class ExperimentRunner:
         This is the generic execution path every batch goes through: jobs
         already answered by the in-process memo or the disk cache are skipped,
         identical jobs are deduplicated by content hash and computed once, and
-        the remainder shards across the scheduler's worker pool.
+        the remainder shards across the scheduler's worker pool.  Each freshly
+        computed result is checked with ``job.validate`` before it is memoized
+        or stored; an invalid one is neither, and once the batch's valid
+        results are stored, :class:`~repro.exceptions.ReproError` names it.
 
         ``progress`` (optional) fires once per job as it resolves — immediately
         for memo/cache answers, per completion for scheduled jobs — giving
@@ -327,14 +335,16 @@ class ExperimentRunner:
                 progress(jobs[position])
 
         fresh = self.scheduler.run(pending, progress)
-        for job, result in zip(pending, fresh):
-            if job.cacheable and self.cache is not None:
-                self.cache.store(job, result)
+        valid = self._validate_and_store(pending, fresh)
         with self._cond:
             self.jobs_run += len(fresh)
-            for job, result in zip(pending, fresh):
-                if job.cacheable:
+            for job, result, ok in zip(pending, fresh, valid):
+                if ok and job.cacheable:
                     self._memo[job.job_hash] = result
+        rejected = [job for job, ok in zip(pending, valid) if not ok]
+        if rejected:
+            more = f" (and {len(rejected) - 1} more)" if len(rejected) > 1 else ""
+            raise ReproError(f"{_invalid_result_message(rejected[0])}{more}")
 
         # Fill the remaining positions (freshly run or deduplicated jobs).
         next_uncacheable = iter(
@@ -493,21 +503,40 @@ class ExperimentRunner:
                     metrics.set_gauge("runner.queue_depth", self._in_flight)
                     self._cond.notify_all()
                 continue
-            for ticket, result in zip(batch, results):
-                if ticket.job.cacheable and self.cache is not None:
-                    self.cache.store(ticket.job, result)
+            valid = self._validate_and_store([ticket.job for ticket in batch], results)
             with self._cond:
-                for ticket, result in zip(batch, results):
-                    if ticket.job.cacheable:
-                        self._memo[ticket.job.job_hash] = result
-                    ticket.result = result
-                    ticket.state = TICKET_DONE
-                    ticket.source = "computed"
+                for ticket, result, ok in zip(batch, results, valid):
+                    if not ok:
+                        ticket.state = TICKET_FAILED
+                        ticket.error = _invalid_result_message(ticket.job)
+                    else:
+                        if ticket.job.cacheable:
+                            self._memo[ticket.job.job_hash] = result
+                        ticket.result = result
+                        ticket.state = TICKET_DONE
+                        ticket.source = "computed"
                     self.jobs_run += 1
                     self._in_flight -= 1
-                metrics.inc("runner.tickets_completed", len(batch))
+                metrics.inc("runner.tickets_completed", sum(valid))
                 metrics.set_gauge("runner.queue_depth", self._in_flight)
                 self._cond.notify_all()
+
+    def _validate_and_store(self, jobs: Sequence[Job], batch: DecodedBatch) -> List[bool]:
+        """Validate each freshly computed result; store the valid ones.
+
+        A valid result is stored as the payload its worker produced (no
+        second encode); an invalid one is neither stored nor, by the callers,
+        memoized.  Returns one validity flag per job.
+        """
+        valid: List[bool] = []
+        for job, result, payload in zip(jobs, batch, batch.payloads):
+            ok = bool(job.validate(result))
+            if not ok:
+                get_metrics().inc("runner.invalid_results")
+            elif job.cacheable and self.cache is not None:
+                self.cache.store(job, result, payload)
+            valid.append(ok)
+        return valid
 
     def poll(self, ticket_id: str) -> Optional[Ticket]:
         """Look up a ticket by id (``None`` if this runner never issued it)."""

@@ -15,6 +15,9 @@ submission order; the scheduler's own job is everything that must be
   JSON form (the same form the cache stores); the scheduler decodes exactly
   once, so a result is indistinguishable whether it came from the serial
   path, a worker process, a fleet worker on another host, or a cache hit.
+  The batch it returns (:class:`DecodedBatch`) keeps the payloads alongside
+  the decoded results, so the runner stores what the worker produced
+  without encoding the result a second time.
 * **Lifecycle.**  Warm backend state (a process pool, spawned fleet workers)
   is released by :meth:`JobScheduler.close`, context-manager exit, or
   garbage collection.
@@ -47,6 +50,19 @@ from repro.runtime.worker_env import (  # noqa: F401
     _worker_init,
     limit_math_threads,
 )
+
+
+class DecodedBatch(list):
+    """Decoded results in submission order, with the payloads they came from.
+
+    A plain list of the decoded results (so callers that only want results
+    are unaffected) carrying ``payloads``: the JSON payloads the workers
+    produced, aligned with the results.
+    """
+
+    def __init__(self, results: Sequence[Any], payloads: Sequence[Dict]) -> None:
+        super().__init__(results)
+        self.payloads: List[Dict] = list(payloads)
 
 
 class JobScheduler:
@@ -133,20 +149,23 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def run(
         self, jobs: Sequence[Job], progress: Optional[ProgressCallback] = None
-    ) -> List[Any]:
+    ) -> DecodedBatch:
         """Run ``jobs`` and return their decoded results in submission order.
 
+        The returned :class:`DecodedBatch` also carries each job's payload.
         ``progress`` is forwarded to the backend and invoked once per job as
         its payload becomes available (observability only — it must not
         raise and does not affect results).
         """
         jobs = list(jobs)
         if not jobs:
-            return []
+            return DecodedBatch([], [])
         metrics = get_metrics()
         metrics.inc("scheduler.batches")
         metrics.inc("scheduler.jobs_dispatched", len(jobs))
         with self._run_lock:
             with metrics.timer("scheduler.batch_seconds"):
                 payloads = self.backend.run_payloads(jobs, progress)
-        return [job.decode(payload) for job, payload in zip(jobs, payloads)]
+        return DecodedBatch(
+            [job.decode(payload) for job, payload in zip(jobs, payloads)], payloads
+        )

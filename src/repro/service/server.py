@@ -58,6 +58,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Largest accepted request-line/header line.
 MAX_LINE_BYTES = 64 * 1024
 
+#: Seconds a client gets to send one whole request (line, headers and body);
+#: a connection that stalls past it is closed.
+READ_DEADLINE_S = 30.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -381,7 +385,12 @@ async def _handle_connection(
 ) -> None:
     try:
         try:
-            request = await _read_request(reader)
+            # One deadline over the whole read (``asyncio.timeout`` needs
+            # Python 3.11; ``wait_for`` gives the same bound on 3.10).
+            request = await asyncio.wait_for(_read_request(reader), READ_DEADLINE_S)
+        except asyncio.TimeoutError:
+            get_metrics().inc("service.read_timeouts")
+            return
         except ProtocolError as exc:
             writer.write(_encode_response(400, {"error": str(exc)}, {}))
             await writer.drain()

@@ -577,9 +577,10 @@ class TestRawStage1Accuracy:
         from repro.analysis.results_io import FORMAT_VERSION
 
         # Raw accuracies bumped these to 2/3; the precision tier bumped them
-        # again (tier in the job hash, metadata in the payload).
+        # again (tier in the job hash, metadata in the payload); the compact
+        # array layout bumped the results format once more.
         assert JOB_SCHEMA_VERSION == 3
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,20 @@ class TestColoring:
         with pytest.raises(ColoringError):
             Coloring.from_array(cycle_graph(4), [0, 1], 2)
 
+    def test_from_array_checks_range_and_dtype_like_the_constructor(self):
+        graph = cycle_graph(4)
+        with pytest.raises(ColoringError, match=r"color 2 of node 2 outside \[0, 2\)"):
+            Coloring.from_array(graph, np.array([0, 1, 2, 0], dtype=np.uint8), 2)
+        with pytest.raises(ColoringError, match=r"color -1 of node 1 outside"):
+            Coloring.from_array(graph, [0, -1, 0, 1], 2)
+        with pytest.raises(ColoringError, match="must be an integer"):
+            Coloring.from_array(graph, [0.0, 1.0, 0.0, 1.0], 2)
+        with pytest.raises(ColoringError, match="num_colors must be positive"):
+            Coloring.from_array(graph, [0, 0, 0, 0], 0)
+        coloring = Coloring.from_array(graph, np.array([0, 1, 0, 1], dtype=np.uint8), 2)
+        assert coloring == Coloring(assignment={0: 0, 1: 1, 2: 0, 3: 1}, num_colors=2)
+        assert all(type(color) is int for color in coloring.assignment.values())
+
     def test_as_array_uncovered(self):
         graph = cycle_graph(4)
         coloring = Coloring(assignment={0: 0}, num_colors=2)

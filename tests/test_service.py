@@ -724,6 +724,25 @@ class TestHTTPTransport:
             client.poll("does-not-exist")
         assert excinfo.value.status == 404
 
+    def test_stalled_request_is_closed_at_the_read_deadline(self, live_service, monkeypatch):
+        """Half a request line, then silence: the server closes the connection."""
+        import socket
+        import time
+
+        from repro.service import server
+
+        monkeypatch.setattr(server, "READ_DEADLINE_S", 0.2)
+        service, cache_dir = live_service
+        endpoint = service.state.read_endpoint()
+        with socket.create_connection((endpoint["host"], endpoint["port"]), timeout=10.0) as sock:
+            sock.sendall(b"GET /v1/heal")
+            started = time.monotonic()
+            assert sock.recv(1024) == b""  # closed, with no response
+            assert time.monotonic() - started < 5.0
+        # The server keeps serving whole requests.
+        client = ServiceClient(discover_endpoint(cache_dir), client_id="after-stall")
+        assert client.healthz()["ok"] is True
+
     def test_endpoint_discovery_requires_a_record(self, tmp_path):
         from repro.exceptions import ReproError
 

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.roim_maxcut import ROIMMaxCut
+from repro.baselines.single_stage_ropm import SingleStageROPM
 from repro.core import MSROPM, MSROPMConfig
 from repro.core.config import TimingPlan
 from repro.graphs import kings_graph
@@ -89,3 +90,20 @@ def test_roim_batch_matches_per_seed_runs(graph, iterations, seed):
         assert batched_item.cut_value == single_item.cut_value
         assert np.float64(batched_item.accuracy) == np.float64(single_item.accuracy)
     assert len(batch) == len(single) == iterations
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(GRAPHS, st.integers(2, 5), st.integers(1, 6), st.integers(0, 2**20))
+def test_single_stage_batch_matches_per_seed_runs(graph, num_colors, iterations, seed):
+    machine = SingleStageROPM(graph, num_colors=num_colors, config=CONFIG)
+    batch = machine.solve(iterations=iterations, seed=seed).iterations
+    single = [
+        machine.run_iteration(iteration_index=index, seed=item)
+        for index, item in enumerate(iteration_seeds(seed, iterations))
+    ]
+    assert len(batch) == len(single) == iterations
+    for batched_item, single_item in zip(batch, single):
+        assert batched_item.iteration_index == single_item.iteration_index
+        assert batched_item.seed == single_item.seed
+        assert batched_item.coloring.assignment == single_item.coloring.assignment
+        assert np.float64(batched_item.accuracy) == np.float64(single_item.accuracy)
