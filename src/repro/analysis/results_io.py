@@ -85,7 +85,6 @@ def _edge_pairs(graph: Graph) -> np.ndarray:
     """The graph's edges as ``(i, j)`` index pairs, ``i < j``, in ascending order."""
     pairs = graph.edge_index_array()
     if pairs.size:
-        pairs = np.sort(pairs, axis=1)
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return pairs.astype(_EDGE_DTYPE)
 
@@ -181,7 +180,10 @@ def solve_result_to_dict(result: SolveResult) -> Dict:
 
 def _node_array(graph: Graph) -> np.ndarray:
     """The graph's nodes as a 1-D object array (tuple labels stay elements)."""
-    return np.fromiter(graph.nodes, dtype=object, count=graph.num_nodes)
+    nodes = np.empty(graph.num_nodes, dtype=object)
+    for position, node in enumerate(graph.nodes):
+        nodes[position] = node
+    return nodes
 
 
 def _partition(nodes: np.ndarray, text: Any) -> Bipartition:

@@ -19,6 +19,32 @@ from repro.graphs.graph import Graph, Node
 from repro.rng import SeedLike, make_rng
 
 
+def _checked_colors(nodes: Sequence[Node], colors: List, num_colors: int) -> np.ndarray:
+    """Validate ``colors`` (aligned with ``nodes``) and return them as an array.
+
+    One vectorized dtype and range check over the whole list, so a large
+    coloring is validated without per-node Python; the per-node scan runs
+    only to name the offending node of a non-integer color.
+    """
+    if num_colors <= 0:
+        raise ColoringError(f"num_colors must be positive, got {num_colors}")
+    array = np.array(colors)
+    if array.size and array.dtype.kind not in "iub":
+        for node, color in zip(nodes, colors):
+            if not isinstance(color, (int, np.integer)):
+                raise ColoringError(f"color of node {node!r} must be an integer, got {color!r}")
+        # Integers numpy could not hold in one integer dtype (mixed signed
+        # and unsigned, or wider than 64 bits) stay exact as Python ints.
+        array = np.array([int(color) for color in colors], dtype=object)
+    outside = np.flatnonzero((array < 0) | (array >= num_colors)) if array.size else ()
+    if len(outside):
+        first = int(outside[0])
+        raise ColoringError(
+            f"color {colors[first]} of node {nodes[first]!r} outside [0, {num_colors})"
+        )
+    return array.astype(np.int64) if array.dtype.kind == "b" else array
+
+
 @dataclass
 class Coloring:
     """An assignment of integer colors to graph nodes.
@@ -36,17 +62,10 @@ class Coloring:
     num_colors: int
 
     def __post_init__(self) -> None:
-        if self.num_colors <= 0:
-            raise ColoringError(f"num_colors must be positive, got {self.num_colors}")
-        for node, color in self.assignment.items():
-            if not isinstance(color, (int, np.integer)):
-                raise ColoringError(f"color of node {node!r} must be an integer, got {color!r}")
-            if not 0 <= int(color) < self.num_colors:
-                raise ColoringError(
-                    f"color {color} of node {node!r} outside [0, {self.num_colors})"
-                )
+        nodes = list(self.assignment)
+        colors = _checked_colors(nodes, list(self.assignment.values()), self.num_colors)
         # Normalize numpy integers to Python ints for stable hashing/serialization.
-        self.assignment = {node: int(color) for node, color in self.assignment.items()}
+        self.assignment = dict(zip(nodes, colors.tolist()))
 
     # ------------------------------------------------------------------
     def color_of(self, node: Node) -> int:
@@ -82,35 +101,11 @@ class Coloring:
 
     @classmethod
     def from_array(cls, graph: Graph, colors: Sequence[int], num_colors: int) -> "Coloring":
-        """Build a coloring from an array aligned with ``graph.nodes``.
-
-        Validation is one vectorized dtype and range check over the whole
-        array (raising the same errors as the per-node constructor), so
-        decoding a large coloring costs no per-node Python beyond building
-        the assignment dictionary.
-        """
+        """Build a coloring from an array aligned with ``graph.nodes``."""
         array = np.asarray(colors)
-        nodes = graph.nodes
-        if array.ndim != 1 or array.shape[0] != len(nodes):
-            raise ColoringError(f"expected {len(nodes)} colors, got {np.size(array)}")
-        if num_colors <= 0:
-            raise ColoringError(f"num_colors must be positive, got {num_colors}")
-        if array.size and array.dtype.kind not in "iub":
-            raise ColoringError(
-                f"color of node {nodes[0]!r} must be an integer, got {array[0]!r}"
-            )
-        outside = np.flatnonzero((array < 0) | (array >= num_colors))
-        if outside.size:
-            first = int(outside[0])
-            raise ColoringError(
-                f"color {array[first]} of node {nodes[first]!r} outside [0, {num_colors})"
-            )
-        if array.dtype.kind == "b":
-            array = array.astype(np.int64)
-        coloring = cls.__new__(cls)
-        coloring.assignment = dict(zip(nodes, array.tolist()))
-        coloring.num_colors = int(num_colors)
-        return coloring
+        if array.ndim != 1 or array.shape[0] != graph.num_nodes:
+            raise ColoringError(f"expected {graph.num_nodes} colors, got {np.size(array)}")
+        return cls(assignment=dict(zip(graph.nodes, array.tolist())), num_colors=num_colors)
 
     # ------------------------------------------------------------------
     def conflicting_edges(self, graph: Graph) -> List[Tuple[Node, Node]]:

@@ -118,13 +118,16 @@ class Graph:
 
     def edges(self) -> List[Edge]:
         """Return every edge exactly once, ordered by node index."""
+        order = self._order
+        return [(order[i], order[j]) for i, j in self._index_pairs()]
+
+    def _index_pairs(self) -> Iterator[Tuple[int, int]]:
+        """Yield every edge once as ``(i, j)`` node indices, ``i < j``, by ``i``."""
         index = self.node_index()
-        result: List[Edge] = []
         for position, u in enumerate(self._order):
-            for v in self._adjacency[u]:
-                if position < index[v]:
-                    result.append((u, v))
-        return result
+            for other in map(index.__getitem__, self._adjacency[u]):
+                if position < other:
+                    yield position, other
 
     def has_node(self, node: Node) -> bool:
         """Return ``True`` if ``node`` is in the graph."""
@@ -234,13 +237,7 @@ class Graph:
 
     def edge_index_array(self) -> np.ndarray:
         """Return an ``(E, 2)`` integer array of edges in node-index space."""
-        index = self.node_index()
-        pairs = [
-            (position, other)
-            for position, u in enumerate(self._order)
-            for other in map(index.__getitem__, self._adjacency[u])
-            if position < other
-        ]
+        pairs = list(self._index_pairs())
         if not pairs:
             return np.zeros((0, 2), dtype=np.int64)
         return np.array(pairs, dtype=np.int64)

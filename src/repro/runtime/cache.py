@@ -213,19 +213,13 @@ class ResultCache:
             return None
         return envelope
 
-    def store(self, job: Job, result: Any, payload: Optional[Dict] = None) -> None:
-        """Persist a decoded ``result`` for ``job`` (atomic write, last writer
-        wins).
-
-        ``payload`` is the job's persisted form of ``result`` when the caller
-        already holds it — the payload the worker produced, which the runner
-        passes so a computed result is encoded exactly once.  Without it the
-        job serializes ``result`` itself via ``job.encode``.
-        """
+    def store(self, job: Job, payload: Dict) -> None:
+        """Persist ``payload``, the job's serialized result (what
+        ``job.execute`` returned), for ``job`` (atomic write, last writer
+        wins).  The payload is stored as given, so a computed result is
+        encoded exactly once, by its worker."""
         if not job.cacheable:
             return
-        if payload is None:
-            payload = job.encode(result)
         envelope = {
             "cache_schema": CACHE_SCHEMA_VERSION,
             "job_hash": job.job_hash,

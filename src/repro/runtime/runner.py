@@ -534,7 +534,7 @@ class ExperimentRunner:
             if not ok:
                 get_metrics().inc("runner.invalid_results")
             elif job.cacheable and self.cache is not None:
-                self.cache.store(job, result, payload)
+                self.cache.store(job, payload)
             valid.append(ok)
         return valid
 

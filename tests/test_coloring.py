@@ -92,6 +92,17 @@ class TestColoring:
         assert coloring == Coloring(assignment={0: 0, 1: 1, 2: 0, 3: 1}, num_colors=2)
         assert all(type(color) is int for color in coloring.assignment.values())
 
+    def test_constructor_normalizes_mixed_and_wide_integers(self):
+        coloring = Coloring(assignment={0: np.uint64(1), 1: 0, 2: True}, num_colors=2)
+        assert coloring.assignment == {0: 1, 1: 0, 2: 1}
+        assert all(type(color) is int for color in coloring.assignment.values())
+        with pytest.raises(ColoringError, match=r"color -1 of node 1 outside"):
+            Coloring(assignment={0: np.uint64(1), 1: -1}, num_colors=2)
+        with pytest.raises(ColoringError, match=r"of node 0 outside"):
+            Coloring(assignment={0: 2**70}, num_colors=2)
+        with pytest.raises(ColoringError, match=r"color of node 1 must be an integer"):
+            Coloring(assignment={0: 0, 1: "a"}, num_colors=2)
+
     def test_as_array_uncovered(self):
         graph = cycle_graph(4)
         coloring = Coloring(assignment={0: 0}, num_colors=2)

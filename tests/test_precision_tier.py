@@ -230,7 +230,7 @@ class TestTierSegregation:
         cache = ResultCache(tmp_path / "cache")
         exact_job = self._job("exact")
         result = exact_job.run()
-        cache.store(exact_job, result)
+        cache.store(exact_job, exact_job.encode(result))
         assert cache.load(exact_job) is not None
         # The throughput job addresses a different entry entirely.
         assert cache.load(self._job("throughput")) is None
@@ -307,7 +307,7 @@ class TestStaleMisses:
             spec=KingsGraphSpec(4, 4), config=fast_config, seed=1, total_iterations=1
         )
         result = job.run()
-        cache.store(job, result)
+        cache.store(job, job.encode(result))
         path = cache.path_for(job.job_hash)
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["cache_schema"] = -1

@@ -239,7 +239,7 @@ def test_malformed_entry_reads_as_stale_miss(fast_config, tmp_path, name):
     build_machine(job.spec, job.config)  # the decode checks against the job's graph
     cache = ResultCache(tmp_path)
     payload = job.execute()
-    cache.store(job, job.decode(payload), payload)
+    cache.store(job, payload)
     assert cache.load(job) is not None
     MALFORMATIONS[name](payload)
     _write_entry(cache, job, payload)

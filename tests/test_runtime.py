@@ -195,7 +195,7 @@ class TestResultCache:
         job = self._job(fast_config)
         result = job.run()
         assert cache.load(job) is None  # cold
-        cache.store(job, result)
+        cache.store(job, job.encode(result))
         loaded = cache.load(job)
         assert loaded is not None
         _assert_identical(result, loaded)
@@ -204,7 +204,7 @@ class TestResultCache:
     def test_corrupt_and_mismatched_entries_read_as_misses(self, fast_config, tmp_path):
         cache = ResultCache(tmp_path)
         job = self._job(fast_config)
-        cache.store(job, job.run())
+        cache.store(job, job.encode(job.run()))
         path = cache.path_for(job.job_hash)
 
         from repro.runtime.cache import CACHE_SCHEMA_VERSION
@@ -225,7 +225,7 @@ class TestResultCache:
     def test_uncacheable_jobs_bypass_the_cache(self, fast_config, tmp_path):
         cache = ResultCache(tmp_path)
         job = SolveJob(spec=KingsGraphSpec(4, 4), config=fast_config, seed=None, total_iterations=2)
-        cache.store(job, job.run())
+        cache.store(job, job.encode(job.run()))
         assert not any(tmp_path.iterdir())
         assert cache.load(job) is None
 
