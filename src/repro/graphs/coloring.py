@@ -19,30 +19,28 @@ from repro.graphs.graph import Graph, Node
 from repro.rng import SeedLike, make_rng
 
 
-def _checked_colors(nodes: Sequence[Node], colors: List, num_colors: int) -> np.ndarray:
-    """Validate ``colors`` (aligned with ``nodes``) and return them as an array.
+def _checked_colors(nodes: Sequence[Node], colors: List, num_colors: int) -> List[int]:
+    """Validate ``colors`` (aligned with ``nodes``) and return them as Python ints.
 
-    One vectorized dtype and range check over the whole list, so a large
-    coloring is validated without per-node Python; the per-node scan runs
-    only to name the offending node of a non-integer color.
+    The type and range checks run as whole-list builtins (``set(map(type,
+    ...))``, ``min``, ``max``), so a large coloring is validated without
+    per-node Python; the per-node scans run only to name an offending node.
+    A list that already holds only plain ``int`` colors is returned as is;
+    numpy integers and bools are converted.
     """
     if num_colors <= 0:
         raise ColoringError(f"num_colors must be positive, got {num_colors}")
-    array = np.array(colors)
-    if array.size and array.dtype.kind not in "iub":
+    if not set(map(type, colors)) <= {int}:
         for node, color in zip(nodes, colors):
             if not isinstance(color, (int, np.integer)):
                 raise ColoringError(f"color of node {node!r} must be an integer, got {color!r}")
-        # Integers numpy could not hold in one integer dtype (mixed signed
-        # and unsigned, or wider than 64 bits) stay exact as Python ints.
-        array = np.array([int(color) for color in colors], dtype=object)
-    outside = np.flatnonzero((array < 0) | (array >= num_colors)) if array.size else ()
-    if len(outside):
-        first = int(outside[0])
+        colors = [int(color) for color in colors]
+    if colors and (min(colors) < 0 or max(colors) >= num_colors):
+        first = next(i for i, color in enumerate(colors) if not 0 <= color < num_colors)
         raise ColoringError(
             f"color {colors[first]} of node {nodes[first]!r} outside [0, {num_colors})"
         )
-    return array.astype(np.int64) if array.dtype.kind == "b" else array
+    return colors
 
 
 @dataclass
@@ -63,9 +61,11 @@ class Coloring:
 
     def __post_init__(self) -> None:
         nodes = list(self.assignment)
-        colors = _checked_colors(nodes, list(self.assignment.values()), self.num_colors)
-        # Normalize numpy integers to Python ints for stable hashing/serialization.
-        self.assignment = dict(zip(nodes, colors.tolist()))
+        colors = list(self.assignment.values())
+        checked = _checked_colors(nodes, colors, self.num_colors)
+        # A copy whose colors are plain Python ints (numpy integers and bools
+        # normalized) for stable hashing/serialization.
+        self.assignment = dict(self.assignment) if checked is colors else dict(zip(nodes, checked))
 
     # ------------------------------------------------------------------
     def color_of(self, node: Node) -> int:
