@@ -118,16 +118,13 @@ class Graph:
 
     def edges(self) -> List[Edge]:
         """Return every edge exactly once, ordered by node index."""
-        order = self._order
-        return [(order[i], order[j]) for i, j in self._index_pairs()]
-
-    def _index_pairs(self) -> Iterator[Tuple[int, int]]:
-        """Yield every edge once as ``(i, j)`` node indices, ``i < j``, by ``i``."""
         index = self.node_index()
+        result: List[Edge] = []
         for position, u in enumerate(self._order):
-            for other in map(index.__getitem__, self._adjacency[u]):
-                if position < other:
-                    yield position, other
+            for v in self._adjacency[u]:
+                if position < index[v]:
+                    result.append((u, v))
+        return result
 
     def has_node(self, node: Node) -> bool:
         """Return ``True`` if ``node`` is in the graph."""
@@ -236,11 +233,12 @@ class Graph:
         return sparse.csr_matrix((data, (rows, cols)), shape=(self.num_nodes, self.num_nodes))
 
     def edge_index_array(self) -> np.ndarray:
-        """Return an ``(E, 2)`` integer array of edges in node-index space."""
-        pairs = list(self._index_pairs())
-        if not pairs:
+        """Return an ``(E, 2)`` integer array of edges in node-index space,
+        in :meth:`edges` order."""
+        index = self.node_index()
+        if self.num_edges == 0:
             return np.zeros((0, 2), dtype=np.int64)
-        return np.array(pairs, dtype=np.int64)
+        return np.array([(index[u], index[v]) for u, v in self.edges()], dtype=np.int64)
 
     def to_networkx(self):
         """Return an equivalent :class:`networkx.Graph`."""
