@@ -3,23 +3,22 @@
 Measures the solver's one stage body on the paper's 40-replica King's-board
 solves and writes a ``BENCH_hotpath.json`` payload:
 
-* **Whole-solve timings** per board through the default batched engine, with
+* **Whole-solve timings** per board through ``MSROPM.solve``, with
   the results checked bit for bit against the golden digests of
   ``tests/golden_digests.json`` (recorded before the scalar, legacy and
   throughput stage bodies were folded into one).
 * **Irreducible floor**: the trig + noise-stream + sparse-kernel cost of one
   solve, measured directly.  These operations are pinned bit-identical by the
-  engine tests (same libm calls, same RNG draws, same CSR kernel), so no
+  per-seed reference tests (same libm calls, same RNG draws, same CSR
+  kernel), so no
   bit-preserving implementation can beat them; ``floor_utilization`` reports
   how close the solve runs to that floor.
 * **Warm-pool dispatch**: a repeat ``JobScheduler.run`` batch against the
   first (pool spin-up, imports, machine memo warm-up), showing warm dispatch
   overhead below the cold-pool baseline.
 * **Throughput tier**: the opt-in ``precision="throughput"`` path (batched
-  noise stream, float32 state, optional fused trig) against the exact tier —
-  the tier that *breaks* the bit-identity floor the section above measures.
-  Each relaxation is also timed individually, so the whole-tier speedup is
-  decomposable into its RNG / float32 / trig contributions.
+  noise stream, float32 state) against the exact tier — the tier that
+  *breaks* the bit-identity floor the section above measures.
 
 Environment knobs:
 
@@ -38,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import MSROPM, BatchedEngine, MSROPMConfig
+from repro.core import MSROPM, MSROPMConfig
 from repro.core.stages import partition_coupling_matrix
 from repro.graphs import kings_graph
 from repro.rng import ReplicaRNG, make_rng, iteration_seeds
@@ -176,66 +175,38 @@ def _bench_floor(rows):
 
 
 def _bench_throughput(rows):
-    """The throughput tier against the exact tier, per relaxation.
+    """The throughput tier against the exact tier on one board.
 
-    Each variant runs the full whole-solve loop; ``throughput`` is the tier's
-    default relaxation set, and the *_only variants isolate one relaxation
-    each, so the contribution of the batched RNG stream, the float32 state
-    and the fused trig is measured rather than inferred.  Accuracy means are
-    checked to stay close to the exact tier's (the statistical-equivalence
-    harness is the authoritative check; this is a coarse guard).
+    Accuracy means are checked to stay close to the exact tier's (the
+    statistical-equivalence harness is the authoritative check; this is a
+    coarse guard).
     """
-    from repro.dynamics.batched import ThroughputOptions
-
     graph = kings_graph(rows, rows)
-    config = MSROPMConfig(num_colors=4, seed=BENCH_SEED)
-    exact_machine = MSROPM(graph, config)
-    exact_machine.solve(iterations=BENCH_REPLICAS, seed=BENCH_SEED)  # warm-up
-    exact_result, exact_s = _best_of(
-        lambda: exact_machine.solve(iterations=BENCH_REPLICAS, seed=BENCH_SEED)
-    )
-    exact_mean = float(exact_result.accuracies.mean())
-
-    variants = (
-        ("throughput", ThroughputOptions()),
-        ("batched_rng_only", ThroughputOptions(float32_state=False)),
-        ("float32_only", ThroughputOptions(batched_rng=False)),
-        ("fused_trig", ThroughputOptions(fused_shil=True)),
-    )
-    entries = {}
-    for name, options in variants:
+    timings = {}
+    for precision in ("exact", "throughput"):
         machine = MSROPM(
-            graph, MSROPMConfig(num_colors=4, seed=BENCH_SEED, precision="throughput")
+            graph, MSROPMConfig(num_colors=4, seed=BENCH_SEED, precision=precision)
         )
-        engine = BatchedEngine(precision="throughput", throughput_options=options)
-        machine.solve(iterations=BENCH_REPLICAS, seed=BENCH_SEED, engine=engine)  # warm-up
-        result, tier_s = _best_of(
-            lambda: machine.solve(iterations=BENCH_REPLICAS, seed=BENCH_SEED, engine=engine)
+        machine.solve(iterations=BENCH_REPLICAS, seed=BENCH_SEED)  # warm-up
+        timings[precision] = _best_of(
+            lambda: machine.solve(iterations=BENCH_REPLICAS, seed=BENCH_SEED)
         )
-        mean = float(result.accuracies.mean())
-        assert abs(mean - exact_mean) < 0.05, (name, mean, exact_mean)
-        entries[name] = {
-            "time_s": round(tier_s, 4),
-            "speedup_vs_exact": round(exact_s / tier_s, 3),
-            "mean_accuracy": round(mean, 4),
-            "options": {
-                "batched_rng": options.batched_rng,
-                "float32_state": options.float32_state,
-                "fused_shil": options.fused_shil,
-            },
-        }
+    (exact_result, exact_s), (tier_result, tier_s) = timings["exact"], timings["throughput"]
+    exact_mean = float(exact_result.accuracies.mean())
+    mean = float(tier_result.accuracies.mean())
+    assert abs(mean - exact_mean) < 0.05, (mean, exact_mean)
     return {
         "board": f"{rows}x{rows}",
         "replicas": BENCH_REPLICAS,
         "exact_s": round(exact_s, 4),
         "exact_mean_accuracy": round(exact_mean, 4),
-        "variants": entries,
+        "throughput_s": round(tier_s, 4),
+        "speedup_vs_exact": round(exact_s / tier_s, 3),
+        "mean_accuracy": round(mean, 4),
         "note": (
-            "precision='throughput' trades bit-identity for speed; accuracy "
-            "equivalence is enforced statistically by 'msropm equivalence'. "
-            "The *_only variants isolate one relaxation each; fused_trig adds "
-            "the fused-SHIL double-angle form on top of the defaults (off by "
-            "default — measured slower than direct float32 sin on this libm)"
+            "precision='throughput' (batched noise stream, float32 state) trades "
+            "bit-identity for speed; accuracy equivalence is enforced "
+            "statistically by 'msropm equivalence'"
         ),
     }
 
@@ -327,20 +298,13 @@ def test_bench_hotpath(tmp_path):
         f"  dispatch: cold {dispatch['cold_pool_s']:.3f}s vs warm {dispatch['warm_pool_s']:.3f}s "
         f"({dispatch['dispatch_speedup']:.2f}x)"
     )
-    tier = throughput["variants"]["throughput"]
     print(
         f"  throughput tier @ {throughput['board']}: exact {throughput['exact_s']:.3f}s vs "
-        f"{tier['time_s']:.3f}s ({tier['speedup_vs_exact']:.2f}x); "
-        f"rng-only {throughput['variants']['batched_rng_only']['speedup_vs_exact']:.2f}x, "
-        f"f32-only {throughput['variants']['float32_only']['speedup_vs_exact']:.2f}x, "
-        f"fused-trig {throughput['variants']['fused_trig']['speedup_vs_exact']:.2f}x"
+        f"{throughput['throughput_s']:.3f}s ({throughput['speedup_vs_exact']:.2f}x)"
     )
 
     # Warm-pool dispatch overhead must be measurably below the cold pool.
     assert dispatch["warm_pool_s"] < dispatch["cold_pool_s"]
     # The throughput tier must clear the bit-identity floor decisively (the
-    # target is >=3x on a quiet box; 2.5 leaves headroom for noisy CI runners)
-    # and each individual relaxation must not lose to the exact path.
-    assert tier["speedup_vs_exact"] >= 2.5
-    for name in ("batched_rng_only", "float32_only", "fused_trig"):
-        assert throughput["variants"][name]["speedup_vs_exact"] >= 1.0, name
+    # target is >=3x on a quiet box; 2.5 leaves headroom for noisy CI runners).
+    assert throughput["speedup_vs_exact"] >= 2.5

@@ -23,8 +23,6 @@ from repro.core import (
     SolveResult,
     StageResult,
     BatchedEngine,
-    SequentialEngine,
-    SolverEngine,
     divide_and_color,
     solve_coloring,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "StageResult",
     "solve_coloring",
     "divide_and_color",
-    "SolverEngine",
-    "SequentialEngine",
     "BatchedEngine",
     "Graph",
     "Coloring",

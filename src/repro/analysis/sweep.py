@@ -126,7 +126,6 @@ def sweep_configuration(
     parameter_grid: Dict[str, Sequence[Any]],
     iterations: int = 5,
     seed: Optional[int] = 0,
-    engine: Optional[str] = None,
     runner: Optional["ExperimentRunner"] = None,
 ) -> SweepResult:
     """Evaluate the MSROPM over the cartesian product of ``parameter_grid``.
@@ -142,20 +141,13 @@ def sweep_configuration(
     Every point becomes one runtime solve job and the whole grid is submitted
     as a single batch, so a multi-worker ``runner`` shards the sweep across
     processes and a cache-backed runner skips already-evaluated points
-    (``None`` = serial, uncached).  ``engine`` selects the replica engine
-    (``"sequential"``/``"batched"``); ``None`` keeps ``base_config.engine`` —
-    the batched default makes wide ablation grids roughly an order of
-    magnitude cheaper.
+    (``None`` = serial, uncached).
     """
     from repro.runtime.jobs import as_graph_spec
     from repro.runtime.runner import ExperimentRunner, SolveRequest
 
     if iterations < 1:
         raise AnalysisError("iterations must be at least 1")
-    if engine is not None:
-        # Applied (and validated) up front: a bad engine name is a caller
-        # error and must raise, not silently skip every grid point.
-        base_config = base_config.with_updates(engine=engine)
     runner = runner or ExperimentRunner()
     names, grid_points = expand_parameter_grid(base_config, parameter_grid)
     # One shared spec: the graph's content hash is computed once for the grid.
@@ -182,7 +174,6 @@ def coupling_strength_sweep(
     base_config: Optional[MSROPMConfig] = None,
     iterations: int = 5,
     seed: Optional[int] = 0,
-    engine: Optional[str] = None,
     runner: Optional["ExperimentRunner"] = None,
 ) -> SweepResult:
     """Ablation: solution quality versus B2B coupling strength."""
@@ -193,7 +184,6 @@ def coupling_strength_sweep(
         {"coupling_strength": list(strengths)},
         iterations=iterations,
         seed=seed,
-        engine=engine,
         runner=runner,
     )
 
@@ -204,7 +194,6 @@ def shil_strength_sweep(
     base_config: Optional[MSROPMConfig] = None,
     iterations: int = 5,
     seed: Optional[int] = 0,
-    engine: Optional[str] = None,
     runner: Optional["ExperimentRunner"] = None,
 ) -> SweepResult:
     """Ablation: solution quality versus SHIL injection strength."""
@@ -215,7 +204,6 @@ def shil_strength_sweep(
         {"shil_strength": list(strengths)},
         iterations=iterations,
         seed=seed,
-        engine=engine,
         runner=runner,
     )
 
@@ -226,7 +214,6 @@ def annealing_time_sweep(
     base_config: Optional[MSROPMConfig] = None,
     iterations: int = 5,
     seed: Optional[int] = 0,
-    engine: Optional[str] = None,
     runner: Optional["ExperimentRunner"] = None,
 ) -> SweepResult:
     """Ablation: solution quality versus the per-stage annealing duration."""
@@ -235,5 +222,5 @@ def annealing_time_sweep(
     base = base_config or MSROPMConfig()
     timings = [replace(base.timing, annealing=duration) for duration in annealing_times]
     return sweep_configuration(
-        graph, base, {"timing": timings}, iterations=iterations, seed=seed, engine=engine, runner=runner
+        graph, base, {"timing": timings}, iterations=iterations, seed=seed, runner=runner
     )

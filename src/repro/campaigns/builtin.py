@@ -69,7 +69,6 @@ def _suite_shared(params: Dict[str, Any]) -> Dict[str, Any]:
         scale=float(scale) if scale is not None else 1.0,
         iterations=params.get("iterations"),
         seed=int(seed) if seed is not None else 2025,
-        engine=params.get("engine"),
         precision=params.get("precision"),
         config=None,
     )
@@ -168,7 +167,7 @@ register_campaign(
                 description="assemble the suite report",
             ),
         ),
-        param_names=("scale", "iterations", "seed", "engine", "precision"),
+        param_names=("scale", "iterations", "seed", "precision"),
     )
 )
 
@@ -190,7 +189,6 @@ def _scenario_params(params: Dict[str, Any]) -> Dict[str, Any]:
         families=list(families) if families is not None else None,
         iterations=int(iterations) if iterations is not None else 5,
         seed=int(seed) if seed is not None else 2025,
-        engine=params.get("engine"),
         precision=params.get("precision"),
         baselines=tuple(baselines) if baselines is not None else SCENARIO_BASELINES,
     )
@@ -206,7 +204,6 @@ def _scenario_solves_plan(context: CampaignContext) -> List[Job]:
         instances,
         iterations=options["iterations"],
         seed=options["seed"],
-        engine=options["engine"],
         precision=options["precision"],
     )
     return [job for jobs in context.runner.plan_jobs(requests) for job in jobs]
@@ -230,7 +227,6 @@ def _scenario_baselines_plan(context: CampaignContext) -> List[Job]:
             references,
             iterations=options["iterations"],
             seed=options["seed"],
-            engine=options["engine"],
             baselines=options["baselines"],
         )
     )
@@ -267,6 +263,6 @@ register_campaign(
                 description="assemble the scenario matrix",
             ),
         ),
-        param_names=("families", "iterations", "seed", "engine", "precision", "baselines"),
+        param_names=("families", "iterations", "seed", "precision", "baselines"),
     )
 )

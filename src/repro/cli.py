@@ -17,9 +17,10 @@ Solve an external DIMACS ``.col`` instance (a first-class workload)::
 
     msropm solve --graph instance.col --iterations 10 --seed 1
 
-Compare against the original per-iteration loop (same results per seed)::
+Trade bit-identity for speed with the float32 throughput tier (statistically
+equivalent accuracy, checked by ``msropm equivalence``)::
 
-    msropm solve --rows 7 --iterations 10 --seed 1 --engine sequential
+    msropm solve --rows 7 --iterations 10 --seed 1 --precision throughput
 
 Reproduce the paper's tables and figures (optionally scaled down)::
 
@@ -186,13 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    engine_kwargs = dict(
-        choices=("sequential", "batched"),
-        default="batched",
-        help="replica execution engine (batched vectorizes all iterations; "
-        "identical results per seed on sparse graphs such as the paper's "
-        "King's graphs, numerically equivalent on dense ones)",
-    )
     precision_kwargs = dict(
         choices=("exact", "throughput"),
         default="exact",
@@ -212,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--iterations", type=int, default=10, help="number of repeated runs")
     solve.add_argument("--colors", type=int, default=4, help="number of colors (power of two)")
     solve.add_argument("--seed", type=int, default=1, help="base RNG seed")
-    solve.add_argument("--engine", **engine_kwargs)
     solve.add_argument("--precision", **precision_kwargs)
     add_runtime_arguments(solve)
 
@@ -226,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--scale", type=float, default=1.0, help="problem/iteration scale in (0, 1]")
         sub.add_argument("--iterations", type=int, default=None, help="override iteration count")
         sub.add_argument("--seed", type=int, default=2025, help="base RNG seed")
-        sub.add_argument("--engine", **engine_kwargs)
         sub.add_argument("--precision", **precision_kwargs)
         add_runtime_arguments(sub)
 
@@ -260,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated baselines to run "
         f"(subset of: {', '.join(SCENARIO_BASELINES)}; empty string skips all)",
     )
-    scenarios.add_argument("--engine", **engine_kwargs)
     scenarios.add_argument("--precision", **precision_kwargs)
     add_runtime_arguments(scenarios)
 
@@ -307,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations", type=int, default=None, help="override iteration count"
     )
     campaign_run.add_argument("--seed", type=int, default=2025, help="base RNG seed")
-    campaign_run.add_argument("--engine", **engine_kwargs)
     campaign_run.add_argument("--precision", **precision_kwargs)
     campaign_run.add_argument(
         "--family",
@@ -589,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client_submit.add_argument("--iterations", type=int, default=None, help="iteration count")
     client_submit.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    client_submit.add_argument("--engine", **engine_kwargs)
     client_submit.add_argument("--precision", **precision_kwargs)
     client_submit.add_argument(
         "--wait", action="store_true", help="block until every ticket is terminal"
@@ -678,7 +667,7 @@ def _run_solve(args: argparse.Namespace) -> int:
         spec = KingsGraphSpec(args.rows, args.rows)
         title_name = f"{graph.num_nodes}-node King's graph"
     config = MSROPMConfig(
-        num_colors=args.colors, seed=args.seed, engine=args.engine, precision=args.precision
+        num_colors=args.colors, seed=args.seed, precision=args.precision
     )
     with runner_from_args(args) as runner:
         result = runner.solve(spec, config, iterations=args.iterations, seed=args.seed)
@@ -772,7 +761,6 @@ def _run_scenarios(args: argparse.Namespace) -> int:
             families=families,
             iterations=args.iterations,
             seed=args.seed,
-            engine=args.engine,
             precision=args.precision,
             runner=runner,
             baselines=baselines,
@@ -1018,7 +1006,7 @@ def _run_campaign(args: argparse.Namespace) -> int:
     # e.g. `campaign run suite --family er` fails loudly instead of silently
     # running the full suite.
     spec = get_campaign(args.name)
-    params = {"seed": args.seed, "engine": args.engine, "precision": args.precision}
+    params = {"seed": args.seed, "precision": args.precision}
     if args.scale != 1.0:
         params["scale"] = args.scale
     if args.iterations is not None:
@@ -1207,7 +1195,6 @@ def _run_client(args: argparse.Namespace) -> int:
             spec["colors"] = args.colors
             if args.graph is not None:
                 spec["graph"] = args.graph
-        spec["engine"] = args.engine
         spec["precision"] = args.precision
         if args.iterations is not None:
             spec["iterations"] = args.iterations
@@ -1274,7 +1261,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 scale=args.scale,
                 iterations=args.iterations,
                 seed=args.seed,
-                engine=args.engine,
                 precision=args.precision,
                 runner=runner,
             )
@@ -1286,7 +1272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 scale=args.scale,
                 iterations=args.iterations,
                 seed=args.seed,
-                engine=args.engine,
                 precision=args.precision,
                 runner=runner,
             )
@@ -1298,7 +1283,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 scale=args.scale,
                 iterations=args.iterations,
                 seed=args.seed,
-                engine=args.engine,
                 precision=args.precision,
                 runner=runner,
             )
@@ -1310,7 +1294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 scale=args.scale,
                 iterations=args.iterations,
                 seed=args.seed,
-                engine=args.engine,
                 precision=args.precision,
                 runner=runner,
             )

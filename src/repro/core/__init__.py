@@ -1,13 +1,7 @@
 """Core MSROPM solver: configuration, staging, machine, metrics and results."""
 
 from repro.core.config import MSROPMConfig
-from repro.core.engine import (
-    BatchedEngine,
-    SequentialEngine,
-    SolverEngine,
-    get_engine,
-    resolve_coupling_backend,
-)
+from repro.core.engine import BatchedEngine
 from repro.core.machine import MSROPM, solve_coloring
 from repro.core.mapping import ProblemMapping, identity_mapping, map_to_kings_fabric
 from repro.core.metrics import (
@@ -38,11 +32,7 @@ __all__ = [
     "MSROPM",
     "MSROPMConfig",
     "solve_coloring",
-    "SolverEngine",
-    "SequentialEngine",
     "BatchedEngine",
-    "get_engine",
-    "resolve_coupling_backend",
     "ProblemMapping",
     "identity_mapping",
     "map_to_kings_fabric",

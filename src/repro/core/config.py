@@ -66,30 +66,21 @@ class MSROPMConfig:
         :attr:`frequency_detuning_rate_std` ``= frequency_detuning_std *
         angular_frequency`` — the two names describe the same knob in
         different units.
-    engine:
-        Replica execution engine used by :meth:`repro.core.machine.MSROPM.solve`:
-        ``"batched"`` (default) advances all iterations as one vectorized
-        integration, ``"sequential"`` runs them one at a time (the original
-        loop).  Per seed the two produce bit-identical results on the sparse
-        coupling backend (chosen automatically for every sparse graph,
-        including all King's graphs); the dense backend is numerically
-        equivalent to floating-point reordering.
-    coupling_backend:
-        How the batched engine represents coupling matrices: ``"sparse"``
-        (CSR / block-diagonal CSR), ``"dense"`` (group-masked GEMMs), or
-        ``"auto"`` (default — dense only for large, dense graphs).
     seed:
         Base RNG seed for the run (per-iteration seeds are derived from it).
     precision:
         Numerical precision tier of the solve.  ``"exact"`` (default) keeps
         the bit-identity contract: float64 state, per-replica RNG streams,
-        results reproducible bit-for-bit against the sequential reference.
+        every replica reproducible bit-for-bit by a per-seed
+        :meth:`repro.core.machine.MSROPM.run_iteration`.
         ``"throughput"`` trades bit-identity for speed — float32 phase state,
         one batched noise stream for all replicas, moment-matched uniform
         noise increments — while keeping the reported accuracy statistically
-        equivalent (the contract the equivalence harness checks).  The tier
-        is part of the job content hash, so exact and throughput results
-        never share cache entries.
+        equivalent (the contract the equivalence harness checks).  Both tiers
+        run every iteration of a solve as one batch on sparse CSR couplings;
+        the tier is the only execution choice a solve has.  It is part of the
+        job content hash, so exact and throughput results never share cache
+        entries.
     """
 
     num_colors: int = 4
@@ -103,17 +94,11 @@ class MSROPMConfig:
     record_every: int = 10
     stage2_reinit_jitter: float = 0.3
     frequency_detuning_std: float = 0.0
-    engine: str = "batched"
-    coupling_backend: str = "auto"
     seed: Optional[int] = None
     precision: str = "exact"
 
-    #: Engines accepted by :attr:`engine`.
-    ENGINE_NAMES = ("sequential", "batched")
     #: Precision tiers accepted by :attr:`precision`.
     PRECISION_NAMES = ("exact", "throughput")
-    #: Coupling backends accepted by :attr:`coupling_backend`.
-    COUPLING_BACKENDS = ("auto", "sparse", "dense")
 
     #: Coupling strengths above this level would stall a real ROSC (Sec. 2.3).
     MAX_COUPLING_STRENGTH: float = 0.5
@@ -148,14 +133,6 @@ class MSROPMConfig:
         if not 0.0 <= self.frequency_detuning_std < 0.1:
             raise ConfigurationError(
                 "frequency_detuning_std must be in [0, 0.1) — larger mismatch breaks injection locking"
-            )
-        if self.engine not in self.ENGINE_NAMES:
-            raise ConfigurationError(
-                f"engine must be one of {self.ENGINE_NAMES}, got {self.engine!r}"
-            )
-        if self.coupling_backend not in self.COUPLING_BACKENDS:
-            raise ConfigurationError(
-                f"coupling_backend must be one of {self.COUPLING_BACKENDS}, got {self.coupling_backend!r}"
             )
         if self.precision not in self.PRECISION_NAMES:
             raise ConfigurationError(

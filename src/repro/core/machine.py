@@ -26,8 +26,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -35,12 +34,11 @@ from repro.exceptions import ConfigurationError, MappingError
 from repro.circuit.netlist import FabricNetlist
 from repro.circuit.power import PowerModel
 from repro.core.config import MSROPMConfig
-from repro.core.engine import SolverEngine, get_engine, run_batch
+from repro.core.engine import BatchedEngine, run_batch
 from repro.core.mapping import ProblemMapping, identity_mapping
-from repro.core.metrics import maxcut_accuracy
 from repro.core.results import IterationResult, SolveResult, StageResult
-from repro.core.stages import StageExecutor, group_offsets
-from repro.graphs.coloring import Coloring, kings_graph_reference_coloring
+from repro.core.stages import StageExecutor
+from repro.graphs.coloring import Coloring
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Bipartition
 from repro.graphs.properties import is_kings_graph_shape
@@ -128,25 +126,21 @@ class MSROPM:
         return self._stage1_reference_cut
 
     def batched_executor(
-        self,
-        coupling_backend: str = "sparse",
-        precision: str = "exact",
-        throughput_options=None,
-        collect_trajectory: bool = False,
+        self, precision: str = "exact", collect_trajectory: bool = False
     ) -> StageExecutor:
         """The machine's cached :class:`StageExecutor` for one configuration.
 
-        Built once per ``(backend, precision, options, collect_trajectory)``
-        key and reused across solves, so the executor's precompiled
-        :class:`~repro.core.stages.CouplingPlan` (stage-1 CSR, kernel buffers,
-        dense base matrix) survives from one solve to the next — and, through
-        the runtime's per-worker machine memo, from one job to the next.  The
-        executor is stateless with respect to a solve's data, so sharing it
-        cannot couple solves.  Exact and throughput tiers get distinct
-        executors (their plans hold different-dtype operators).
+        Built once per ``(precision, collect_trajectory)`` key and reused
+        across solves, so the executor's precompiled
+        :class:`~repro.core.stages.CouplingPlan` (stage-1 CSR, kernel buffers)
+        survives from one solve to the next — and, through the runtime's
+        per-worker machine memo, from one job to the next.  The executor is
+        stateless with respect to a solve's data, so sharing it cannot couple
+        solves.  Exact and throughput tiers get distinct executors (their
+        plans hold different-dtype operators).
         """
         cache = self.__dict__.setdefault("_executor_cache", {})
-        key = (coupling_backend, precision, throughput_options, collect_trajectory)
+        key = (precision, collect_trajectory)
         if key not in cache:
             cache[key] = StageExecutor(
                 config=self.config,
@@ -154,9 +148,7 @@ class MSROPM:
                 num_oscillators=self.num_oscillators,
                 collect_trajectory=collect_trajectory,
                 frequency_detuning=self._frequency_detuning,
-                coupling_backend=coupling_backend,
                 precision=precision,
-                throughput_options=throughput_options,
             )
         return cache[key]
 
@@ -169,8 +161,8 @@ class MSROPM:
     ) -> IterationResult:
         """Run one complete multi-stage solve and return its result.
 
-        This is the batched stage body at R=1 on the sparse exact tier, so a
-        run is bit-identical to the same seed's replica in a batched solve.
+        This is the batched stage body at R=1 on the exact tier, so a run is
+        bit-identical to the same seed's replica in an exact-tier solve.
         With ``collect_trajectory`` every integrator step is recorded and the
         result carries the ``(T, N)`` trajectory.
         """
@@ -179,35 +171,23 @@ class MSROPM:
         result.iteration_index = iteration_index
         return result
 
-    def solve(
-        self,
-        iterations: int = 40,
-        seed: Optional[int] = None,
-        engine: Optional[object] = None,
-    ) -> SolveResult:
+    def solve(self, iterations: int = 40, seed: Optional[int] = None) -> SolveResult:
         """Run ``iterations`` independent runs (the paper uses 40) and aggregate them.
 
-        The iterations are executed by a replica engine: the default batched
-        engine advances all of them as one vectorized integration, while the
-        sequential engine replays the original one-at-a-time loop.  On the
-        sparse coupling backend (auto-selected for every graph the paper
-        uses) the two produce bit-identical results for the same seeds; the
-        dense backend is numerically equivalent but may differ in the last
-        floating-point ulp.  The engine comes from ``config.engine`` unless
-        overridden here with an engine name (``"sequential"``/``"batched"``)
-        or a :class:`repro.core.engine.SolverEngine` instance.
+        All iterations advance together as one vectorized integration
+        (:class:`repro.core.engine.BatchedEngine`) on the tier that
+        ``config.precision`` names.  On the exact tier every iteration is
+        bit-identical to :meth:`run_iteration` with the same seed.
         """
         if iterations < 1:
             raise ConfigurationError(f"iterations must be at least 1, got {iterations}")
         base_seed = seed if seed is not None else self.config.seed
         seeds = iteration_seeds(base_seed, iterations)
-        solver_engine = get_engine(engine if engine is not None else self.config.engine)
-        results = solver_engine.run(self, seeds)
         return SolveResult(
             graph=self.graph,
             num_colors=self.config.num_colors,
-            iterations=results,
-            metadata=self.result_metadata(solver_engine),
+            iterations=BatchedEngine().run(self, seeds),
+            metadata=self.result_metadata(),
         )
 
     def solve_range(
@@ -216,7 +196,6 @@ class MSROPM:
         start: int,
         stop: int,
         seed: Optional[int] = None,
-        engine: Optional[object] = None,
     ) -> List[IterationResult]:
         """Run replicas ``[start, stop)`` of a ``total_iterations``-iteration solve.
 
@@ -238,24 +217,21 @@ class MSROPM:
             )
         base_seed = seed if seed is not None else self.config.seed
         seeds = iteration_seeds(base_seed, total_iterations)[start:stop]
-        solver_engine = get_engine(engine if engine is not None else self.config.engine)
-        return solver_engine.run_range(self, seeds, start_index=start)
+        results = BatchedEngine().run(self, seeds)
+        for offset, item in enumerate(results):
+            item.iteration_index = start + offset
+        return results
 
     # ------------------------------------------------------------------
-    def result_metadata(self, engine: Optional[object] = None) -> Dict[str, object]:
+    def result_metadata(self) -> Dict[str, object]:
         """Provenance recorded on every :class:`SolveResult` this machine makes.
 
         Captures the active precision tier, the integrated state dtype, and
         the numpy version, so archived results are auditable: a cached
-        throughput result can never masquerade as an exact one.  ``engine``
-        (an engine instance) may carry a per-call tier override.
+        throughput result can never masquerade as an exact one.
         """
-        precision = getattr(engine, "precision", None) or self.config.precision
-        dtype = "float64"
-        if precision == "throughput":
-            options = getattr(engine, "throughput_options", None)
-            float32 = options.float32_state if options is not None else True
-            dtype = "float32" if float32 else "float64"
+        precision = self.config.precision
+        dtype = "float32" if precision == "throughput" else "float64"
         return {"precision": precision, "dtype": dtype, "numpy": np.__version__}
 
     # ------------------------------------------------------------------

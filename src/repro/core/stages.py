@@ -31,8 +31,6 @@ from repro.dynamics.batched import (
     CouplingOperator,
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
-    GroupMaskedDenseCoupling,
-    ThroughputOptions,
     ThroughputOscillatorModel,
 )
 from repro.dynamics.integrators import (
@@ -116,12 +114,9 @@ class CouplingPlan:
       every solve's stage 1, buffers included;
     * replica-dependent stage-2 gatings are assembled by the vectorized
       :func:`repro.dynamics.batched.gated_block_diagonal_csr` constructor
-      instead of a per-replica loop;
-    * the dense backend's base matrix is built once and shared by every
-      :class:`GroupMaskedDenseCoupling` instance (which itself caches its
-      per-label masks for the stage's two intervals).
+      instead of a per-replica loop.
 
-    Every sparse operator the plan returns holds the canonical CSR that
+    Every operator the plan returns holds the canonical CSR that
     :func:`partition_coupling_matrix` builds for each replica, so each
     replica's products are bit-identical to its own gated matvec.
     """
@@ -131,39 +126,16 @@ class CouplingPlan:
         edge_index: np.ndarray,
         num_oscillators: int,
         coupling_rate: float,
-        backend: str,
         dtype=float,
     ) -> None:
-        if backend not in ("sparse", "dense"):
-            raise StageError(
-                f"coupling plans need a resolved 'sparse' or 'dense' backend, got {backend!r}"
-            )
         self.edge_index = edge_index
         self.num_oscillators = num_oscillators
         self.coupling_rate = coupling_rate
-        self.backend = backend
         self.dtype = np.dtype(dtype)
         self._uniform_shared: Optional[FastSharedCoupling] = None
-        self._dense_base: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    def dense_base(self) -> np.ndarray:
-        """The fabric's ungated dense coupling-rate matrix (built once)."""
-        if self._dense_base is None:
-            num = self.num_oscillators
-            base = np.zeros((num, num), dtype=float)
-            if self.edge_index.size:
-                rows = self.edge_index[:, 0]
-                cols = self.edge_index[:, 1]
-                base[rows, cols] = self.coupling_rate
-                base[cols, rows] = self.coupling_rate
-            self._dense_base = base
-        return self._dense_base
 
     def operator(self, group_values: np.ndarray) -> CouplingOperator:
         """The precompiled coupling operator for one stage's gating table."""
-        if self.backend == "dense":
-            return GroupMaskedDenseCoupling(self.dense_base(), group_values)
         first_row = group_values[0]
         if np.all(group_values == first_row):
             if first_row.size == 0 or np.all(first_row == first_row[0]):
@@ -197,9 +169,10 @@ class StageExecutor:
     """Runs the three intervals of one binary stage on a batch of replicas.
 
     Every caller goes through the one stage body of :meth:`run_stage` on a
-    ``(R, N)`` phase array: the batched engine with all iterations of a
-    solve, :meth:`repro.core.machine.MSROPM.run_iteration` (and therefore the
-    sequential engine) at R=1, and the ROIM baseline.
+    ``(R, N)`` phase array: :class:`repro.core.engine.BatchedEngine` with all
+    iterations of a solve, :meth:`repro.core.machine.MSROPM.run_iteration` at
+    R=1, and the ROIM baseline.  Operators are always the sparse CSR ones of
+    :class:`CouplingPlan`.
 
     Parameters
     ----------
@@ -225,23 +198,14 @@ class StageExecutor:
         SHIL intervals of every stage.  Note these are rad/s rates (drawn with
         standard deviation ``config.frequency_detuning_rate_std``), not the
         relative ``config.frequency_detuning_std`` fraction.
-    coupling_backend:
-        Coupling representation: ``"sparse"`` (shared CSR / block-diagonal
-        CSR, bit-identical per replica) or ``"dense"`` (group-masked GEMMs,
-        numerically equivalent).  ``"auto"`` must be resolved by the caller
-        (the engine) before the executor runs.
     precision:
         Precision tier of the stage arithmetic: ``"exact"`` (default,
         bit-identical contract: float64 state, :class:`BatchedOscillatorModel`)
-        or ``"throughput"`` (``state_dtype`` state, a
-        :class:`ThroughputOscillatorModel` and whatever relaxed RNG the caller
-        passes, per :class:`repro.dynamics.batched.ThroughputOptions`;
-        statistical contract, owned by the equivalence harness).  The
-        throughput tier runs on the sparse backend without trajectory
+        or ``"throughput"`` (float32 state and a
+        :class:`ThroughputOscillatorModel`, fed by the caller's batched
+        :class:`repro.rng.ThroughputRNG`; statistical contract, owned by the
+        equivalence harness).  The throughput tier runs without trajectory
         collection.
-    throughput_options:
-        Relaxation switches of the throughput tier; ``None`` means the tier's
-        defaults.  Ignored on the exact tier.
     """
 
     config: MSROPMConfig
@@ -249,21 +213,12 @@ class StageExecutor:
     num_oscillators: int
     collect_trajectory: bool = False
     frequency_detuning: Optional[np.ndarray] = None
-    coupling_backend: str = "sparse"
     precision: str = "exact"
-    throughput_options: Optional[ThroughputOptions] = None
-
-    @property
-    def throughput(self) -> ThroughputOptions:
-        """The effective throughput relaxations (defaults when unset)."""
-        return self.throughput_options if self.throughput_options is not None else ThroughputOptions()
 
     @property
     def state_dtype(self) -> np.dtype:
         """dtype of the integrated phase state under this executor's tier."""
-        if self.precision == "throughput" and self.throughput.float32_state:
-            return np.dtype(np.float32)
-        return np.dtype(float)
+        return np.dtype(np.float32 if self.precision == "throughput" else float)
 
     @property
     def plan(self) -> CouplingPlan:
@@ -274,7 +229,6 @@ class StageExecutor:
                 self.edge_index,
                 self.num_oscillators,
                 self.config.coupling_rate,
-                self.coupling_backend,
                 dtype=self.state_dtype,
             )
             self._plan = plan
@@ -310,10 +264,8 @@ class StageExecutor:
                 f"phases shape {np.shape(phases)}"
             )
         throughput = self.precision == "throughput"
-        if throughput and (self.collect_trajectory or self.coupling_backend != "sparse"):
-            raise StageError(
-                "precision='throughput' runs on the sparse backend without trajectory collection"
-            )
+        if throughput and self.collect_trajectory:
+            raise StageError("precision='throughput' runs without trajectory collection")
         config = self.config
         timing = config.timing
         rng = make_rng(rng)
@@ -326,8 +278,7 @@ class StageExecutor:
         coupling = self.plan.operator(group_values)
         offsets = group_offsets(group_values, stage_index)
         if throughput:
-            model_class = ThroughputOscillatorModel
-            tier = {"fused_shil": self.throughput.fused_shil, "dtype": dtype}
+            model_class, tier = ThroughputOscillatorModel, {"dtype": dtype}
         else:
             model_class, tier = BatchedOscillatorModel, {}
 

@@ -13,8 +13,7 @@ imported), a canonical manifest of every such surface:
 * the three governing version constants,
 * ``SolveJob``/``BaselineJob`` hashed fields and ``describe()`` keys,
 * every ``GraphSpec`` subclass's fields and ``fingerprint()`` keys,
-* ``MSROPMConfig``/``ThroughputOptions`` members (folded into the hash via
-  ``asdict``),
+* ``MSROPMConfig`` members (folded into the hash via ``asdict``),
 * the cache envelope layouts and the results payload keys.
 
 The checked-in ``devtools/schema_manifest.json`` is the reviewed baseline;
@@ -42,7 +41,6 @@ SOURCES = {
     "jobs": "src/repro/runtime/jobs.py",
     "baselines": "src/repro/runtime/baselines.py",
     "config": "src/repro/core/config.py",
-    "batched": "src/repro/dynamics/batched.py",
     "cache": "src/repro/runtime/cache.py",
     "results_io": "src/repro/analysis/results_io.py",
     "ledger": "src/repro/campaigns/ledger.py",
@@ -187,7 +185,6 @@ def compute_manifest(
     solve_job = _find_class(jobs, "SolveJob", SOURCES["jobs"])
     baseline_job = _find_class(trees["baselines"], "BaselineJob", SOURCES["baselines"])
     config_cls = _find_class(trees["config"], "MSROPMConfig", SOURCES["config"])
-    throughput_cls = _find_class(trees["batched"], "ThroughputOptions", SOURCES["batched"])
     cache_cls = _find_class(cache, "ResultCache", SOURCES["cache"])
 
     graph_specs: Dict[str, Any] = {}
@@ -231,11 +228,6 @@ def compute_manifest(
             "governed_by": "JOB_SCHEMA_VERSION",
             "source": SOURCES["config"],
             "fields": _annotated_fields(config_cls),
-        },
-        "throughput_options": {
-            "governed_by": "JOB_SCHEMA_VERSION",
-            "source": SOURCES["batched"],
-            "fields": _annotated_fields(throughput_cls),
         },
         "cache_envelope": {
             "governed_by": "CACHE_SCHEMA_VERSION",

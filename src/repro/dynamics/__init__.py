@@ -11,7 +11,6 @@ from repro.dynamics.batched import (
     CouplingOperator,
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
-    GroupMaskedDenseCoupling,
 )
 from repro.dynamics.kuramoto import CoupledOscillatorModel, uniform_coupling_matrix
 from repro.dynamics.noise import PhaseNoiseModel, perturbed_phases, random_initial_phases
@@ -40,7 +39,6 @@ __all__ = [
     "CouplingOperator",
     "FastSharedCoupling",
     "FastBlockDiagonalCoupling",
-    "GroupMaskedDenseCoupling",
     "uniform_coupling_matrix",
     "PhaseNoiseModel",
     "random_initial_phases",

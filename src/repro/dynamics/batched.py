@@ -18,11 +18,6 @@ batched right-hand-side model that consumes them:
   ``csr_matvec`` per field and evaluation.  Row-wise accumulation order
   matches the per-replica matvec exactly, so results are bit-identical to
   evaluating each replica on its own.
-* :class:`GroupMaskedDenseCoupling` — a dense formulation that never
-  materializes per-replica matrices: the gate ``[g_i == g_j]`` factors over
-  group labels, turning the gated product into one dense GEMM per group
-  (``coupling[r][i, j] = base[i, j] * [g_r[i] == g_r[j]]``).  Preferred for
-  dense graphs, where CSR indirection wastes the hardware.
 
 The stage executor obtains its operators from
 :class:`repro.core.stages.CouplingPlan`, which builds them once per gating.
@@ -31,7 +26,8 @@ The stage executor obtains its operators from
 :class:`repro.dynamics.kuramoto.CoupledOscillatorModel` (same physics, same
 term structure) over ``(R, N)`` phase arrays and is consumed unchanged by the
 fixed-step integrators; its ``evaluate_into`` method is the allocation-free
-evaluation protocol the integrators prefer.
+evaluation protocol the integrators prefer.  :class:`ThroughputOscillatorModel`
+is the same model in float32 for the throughput tier.
 """
 
 from __future__ import annotations
@@ -52,29 +48,6 @@ try:  # scipy's C kernels; the fast operators fall back to `@` without them
 except (ImportError, AttributeError):  # pragma: no cover - defensive
     _csr_matvec = None
     _csr_matvecs = None
-
-
-@dataclass(frozen=True)
-class ThroughputOptions:
-    """Relaxations of the throughput precision tier, individually switchable.
-
-    Each flag names one deliberate departure from the exact tier's
-    bit-identity contract; the benchmark's phase breakdown measures them one
-    at a time.  All three default to the configuration that measures fastest
-    at paper scale on current numpy builds — notably ``fused_shil`` defaults
-    *off* because the double-angle polynomial loses to a direct float32
-    ``np.sin`` on the buffers the solver keeps hot (the defaults are static
-    so cached results never depend on runtime measurements).
-    """
-
-    #: One batched PCG64 stream for all replicas with moment-matched uniform
-    #: increments, instead of per-replica Gaussian streams.
-    batched_rng: bool = True
-    #: float32 phase state, trig, and CSR coupling kernels end to end.
-    float32_state: bool = True
-    #: Evaluate the SHIL term from the already-computed sin/cos fields via the
-    #: double-angle identity instead of a second ``np.sin`` pass.
-    fused_shil: bool = False
 
 
 class CouplingOperator:
@@ -285,46 +258,6 @@ class FastBlockDiagonalCoupling(CouplingOperator):
         return out_first.reshape(replicas, num), out_second.reshape(replicas, num)
 
 
-class GroupMaskedDenseCoupling(CouplingOperator):
-    """Dense shared base matrix with per-replica group gating.
-
-    Replica ``r`` conducts edge ``(i, j)`` only when ``groups[r, i] ==
-    groups[r, j]``.  Since the gate factors as ``sum_c [g_i == c] [g_j == c]``,
-    the gated product reduces to one dense GEMM per group label over masked
-    fields — O(groups) GEMMs of ``(N, N) x (N, R)`` instead of R gated
-    matrices.
-    """
-
-    def __init__(self, base: np.ndarray, groups: Optional[np.ndarray] = None) -> None:
-        self.base = np.asarray(base, dtype=float)
-        if self.base.ndim != 2 or self.base.shape[0] != self.base.shape[1]:
-            raise SimulationError(f"base matrix must be square, got shape {self.base.shape}")
-        if not np.allclose(self.base, self.base.T):
-            raise SimulationError("base coupling matrix must be symmetric")
-        if groups is None:
-            self.masks = None
-        else:
-            groups = np.asarray(groups, dtype=int)
-            if groups.ndim != 2 or groups.shape[1] != self.base.shape[0]:
-                raise SimulationError(
-                    f"groups must have shape (R, {self.base.shape[0]}), got {groups.shape}"
-                )
-            labels = np.unique(groups)
-            if labels.size <= 1:
-                # Every oscillator in every replica shares one group: ungated.
-                self.masks = None
-            else:
-                self.masks = [(groups == label).astype(float) for label in labels]
-
-    def apply(self, field: np.ndarray) -> np.ndarray:
-        if self.masks is None:
-            return field @ self.base
-        out = np.zeros_like(field)
-        for mask in self.masks:
-            out += mask * ((field * mask) @ self.base)
-        return out
-
-
 @dataclass
 class BatchedOscillatorModel:
     """Right-hand side of the coupled, SHIL-injected dynamics over a batch.
@@ -482,24 +415,14 @@ class BatchedOscillatorModel:
 class ThroughputOscillatorModel(BatchedOscillatorModel):
     """Reduced-precision batched RHS for the throughput tier.
 
-    Same physics and term structure as :class:`BatchedOscillatorModel`, with
-    the deliberate relaxations of :class:`ThroughputOptions` applied:
-
-    * all scratch buffers, SHIL coefficients and the detuning vector live in
-      ``dtype`` (float32 by default), so the expensive per-step ``sin``/``cos``
-      evaluations and the CSR kernel run in single precision;
-    * when ``fused_shil`` is set (and ``shil_order == 2``), the SHIL term is
-      computed from the sin/cos fields already evaluated for the coupling
-      term via the double-angle identity
-      ``-K sin(2(theta - phi)) = A (s c) + B s^2 + C`` with
-      ``A = -2 K cos(2 phi)``, ``B = -2 K sin(2 phi)``, ``C = -B / 2``,
-      skipping the second ``np.sin`` pass entirely.
-
-    The model is used only behind ``precision="throughput"``; the exact tier
-    never constructs it.
+    Same physics, term structure and operation order as
+    :class:`BatchedOscillatorModel`; all scratch buffers, SHIL coefficients
+    and the detuning vector live in ``dtype`` (float32 by default), so the
+    expensive per-step ``sin``/``cos`` evaluations and the CSR kernel run in
+    single precision.  The model is used only behind
+    ``precision="throughput"``; the exact tier never constructs it.
     """
 
-    fused_shil: bool = False
     dtype: np.dtype = np.float32
 
     def __post_init__(self) -> None:
@@ -508,18 +431,6 @@ class ThroughputOscillatorModel(BatchedOscillatorModel):
         self._shil_strength = self._shil_strength.astype(self.dtype)
         self._shil_offset = self._shil_offset.astype(self.dtype)
         self._detuning = self._detuning.astype(self.dtype)
-        # The fused form needs the double-angle identity, which is specific to
-        # shil_order == 2 (the MSROPM's order); fall back silently otherwise.
-        self._use_fused = bool(self.fused_shil) and self.shil_order == 2 and self._has_shil
-        if self._use_fused:
-            # Coefficients in float64 first, cast once: the identity is exact,
-            # so the only error is the final rounding of each coefficient.
-            strength = np.asarray(self.shil_strength, dtype=float)
-            offset = np.asarray(self.shil_offset, dtype=float)
-            b_coeff = -2.0 * strength * np.sin(2.0 * offset)
-            self._fused_a = np.asarray(-2.0 * strength * np.cos(2.0 * offset), dtype=self.dtype)
-            self._fused_b = np.asarray(b_coeff, dtype=self.dtype)
-            self._fused_c = np.asarray(-0.5 * b_coeff, dtype=self.dtype)
 
     def _scratch(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
         """Two reusable ``dtype`` work buffers (cos field, SHIL term)."""
@@ -528,48 +439,3 @@ class ThroughputOscillatorModel(BatchedOscillatorModel):
             buffers = (np.empty(shape, dtype=self.dtype), np.empty(shape, dtype=self.dtype))
             self._scratch_buffers = buffers
         return buffers
-
-    def _fused_scratch(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """Third work buffer of the fused-SHIL evaluation."""
-        buffer = self.__dict__.get("_fused_buffer")
-        if buffer is None or buffer.shape != shape:
-            buffer = np.empty(shape, dtype=self.dtype)
-            self._fused_buffer = buffer
-        return buffer
-
-    def evaluate_into(self, time: float, phases: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the rate into ``out`` using the tier's relaxed arithmetic."""
-        if not self._use_fused:
-            return super().evaluate_into(time, phases, out)
-        if phases.shape != out.shape or phases.ndim != 2 or phases.shape[1] != self.num_oscillators:
-            raise SimulationError(
-                f"expected matching batched phases/out of shape (R, {self.num_oscillators}), "
-                f"got {phases.shape} and {out.shape}"
-            )
-        coupling_scale = self.coupling_ramp(time) if self.coupling_ramp is not None else 1.0
-        shil_scale = self.shil_ramp(time) if self.shil_ramp is not None else 1.0
-        cos_field, term_buf = self._scratch(phases.shape)
-        fused_buf = self._fused_scratch(phases.shape)
-        np.sin(phases, out=out)
-        np.cos(phases, out=cos_field)
-        # SHIL from the double-angle identity, before the coupling products
-        # overwrite the sin/cos fields: term = s * (A c + B s) + C.
-        if shil_scale != 0.0:
-            np.multiply(cos_field, self._fused_a, out=term_buf)
-            np.multiply(out, self._fused_b, out=fused_buf)
-            np.add(term_buf, fused_buf, out=term_buf)
-            np.multiply(term_buf, out, out=term_buf)
-            np.add(term_buf, self._fused_c, out=term_buf)
-        coupled_cos, coupled_sin = self.coupling.apply_pair(cos_field, out)
-        np.multiply(out, coupled_cos, out=out)
-        np.multiply(cos_field, coupled_sin, out=cos_field)
-        np.subtract(out, cos_field, out=out)
-        if coupling_scale != 1.0:
-            np.multiply(out, coupling_scale, out=out)
-        if shil_scale != 0.0:
-            if shil_scale != 1.0:
-                np.multiply(term_buf, shil_scale, out=term_buf)
-            np.add(out, term_buf, out=out)
-        if self._has_detuning:
-            np.add(out, self._detuning, out=out)
-        return out

@@ -77,7 +77,6 @@ def plan_figure5_requests(
     scale: float = 1.0,
     config: Optional[MSROPMConfig] = None,
     seed: int = 2025,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
 ) -> List[SolveRequest]:
     """The solve requests Figure 5 schedules: one per plotted problem size.
@@ -87,8 +86,6 @@ def plan_figure5_requests(
     resolve from cache when both experiments run in one suite.
     """
     config = config or default_config(seed)
-    if engine is not None:
-        config = config.with_updates(engine=engine)
     if precision is not None:
         config = config.with_updates(precision=precision)
     iterations = iterations if iterations is not None else scaled_iterations(scale)
@@ -109,15 +106,13 @@ def run_figure5(
     scale: float = 1.0,
     config: Optional[MSROPMConfig] = None,
     seed: int = 2025,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
     runner: Optional[ExperimentRunner] = None,
 ) -> Figure5Result:
     """Run the Figure 5 experiment (optionally scaled down) and collect the data.
 
-    ``engine`` selects the replica engine for the per-problem solves
-    (``None`` keeps the config's engine, batched by default); ``precision``
-    the tier; ``runner`` supplies the execution runtime (``None`` = serial,
+    ``precision`` selects the tier of the per-problem solves (``None`` keeps
+    the config's); ``runner`` supplies the execution runtime (``None`` = serial,
     uncached).
     """
     runner = runner or ExperimentRunner()
@@ -127,7 +122,6 @@ def run_figure5(
         scale=scale,
         config=config,
         seed=seed,
-        engine=engine,
         precision=precision,
     )
     solves = runner.solve_many(requests)

@@ -155,23 +155,16 @@ def file_workload(path: Union[str, Path]) -> BenchmarkProblem:
 
 def default_config(
     seed: Optional[int] = 2025,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
 ) -> MSROPMConfig:
     """The configuration used by all paper-reproduction experiments.
 
-    ``engine`` selects the replica execution engine (``"sequential"`` or
-    ``"batched"``); ``precision`` selects the precision tier (``"exact"`` or
-    ``"throughput"``).  ``None`` keeps the library defaults (batched, exact).
+    ``precision`` selects the precision tier (``"exact"`` or
+    ``"throughput"``); ``None`` keeps the library default (exact).
     """
     config = MSROPMConfig(num_colors=4, seed=seed)
-    updates = {}
-    if engine is not None:
-        updates["engine"] = engine
     if precision is not None:
-        updates["precision"] = precision
-    if updates:
-        config = config.with_updates(**updates)
+        config = config.with_updates(precision=precision)
     return config
 
 

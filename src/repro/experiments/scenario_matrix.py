@@ -198,7 +198,6 @@ def plan_scenario_requests(
     iterations: int = 5,
     seed: int = 2025,
     config: Optional[MSROPMConfig] = None,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
 ) -> List[SolveRequest]:
     """The runtime solve requests of the matrix: one MSROPM solve per instance.
@@ -210,8 +209,6 @@ def plan_scenario_requests(
     if iterations < 1:
         raise ConfigurationError("iterations must be at least 1")
     base = config or default_config(seed)
-    if engine is not None:
-        base = base.with_updates(engine=engine)
     if precision is not None:
         base = base.with_updates(precision=precision)
     return [
@@ -231,7 +228,6 @@ def plan_baseline_jobs(
     iterations: int = 5,
     seed: int = 2025,
     config: Optional[MSROPMConfig] = None,
-    engine: Optional[str] = None,
     baselines: Sequence[str] = SCENARIO_BASELINES,
 ) -> List[BaselineJob]:
     """The matrix's baseline jobs: one per (instance, baseline), instance-major.
@@ -243,8 +239,6 @@ def plan_baseline_jobs(
     knowledge, and keeping the plan rectangular keeps result mapping trivial.
     """
     base = config or default_config(seed)
-    if engine is not None:
-        base = base.with_updates(engine=engine)
     jobs: List[BaselineJob] = []
     for instance, reference in zip(instances, references):
         for name in baselines:
@@ -292,7 +286,6 @@ def run_scenario_matrix(
     iterations: int = 5,
     seed: int = 2025,
     config: Optional[MSROPMConfig] = None,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
     runner: Optional[ExperimentRunner] = None,
     baselines: Sequence[str] = SCENARIO_BASELINES,
@@ -320,7 +313,6 @@ def run_scenario_matrix(
         iterations=iterations,
         seed=seed,
         config=config,
-        engine=engine,
         precision=precision,
     )
     solves: List[SolveResult] = runner.solve_many(requests)
@@ -343,7 +335,6 @@ def run_scenario_matrix(
         iterations=iterations,
         seed=seed,
         config=config,
-        engine=engine,
         baselines=baselines,
     )
     payloads = runner.run_jobs(baseline_jobs)

@@ -81,7 +81,6 @@ def plan_suite_requests(
     iterations: Optional[int] = None,
     seed: int = 2025,
     config: Optional[MSROPMConfig] = None,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
 ) -> List[SolveRequest]:
     """The union of all solve requests the suite's experiments schedule.
@@ -95,7 +94,6 @@ def plan_suite_requests(
         scale=scale,
         config=config,
         seed=seed,
-        engine=engine,
         precision=precision,
     )
     requests: List[SolveRequest] = []
@@ -110,7 +108,6 @@ def run_suite(
     iterations: Optional[int] = None,
     seed: int = 2025,
     config: Optional[MSROPMConfig] = None,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
     runner: Optional[ExperimentRunner] = None,
 ) -> SuiteResult:
@@ -128,7 +125,6 @@ def run_suite(
         scale=scale,
         config=config,
         seed=seed,
-        engine=engine,
         precision=precision,
     )
 

@@ -100,7 +100,6 @@ def plan_table1_requests(
     scale: float = 1.0,
     config: Optional[MSROPMConfig] = None,
     seed: int = 2025,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
 ) -> List[SolveRequest]:
     """The solve requests Table 1 schedules: one per problem size.
@@ -109,8 +108,6 @@ def plan_table1_requests(
     warm pass produces byte-identical job hashes to a standalone Table 1 run.
     """
     config = config or default_config(seed)
-    if engine is not None:
-        config = config.with_updates(engine=engine)
     if precision is not None:
         config = config.with_updates(precision=precision)
     iterations = iterations if iterations is not None else scaled_iterations(scale)
@@ -132,15 +129,13 @@ def run_table1(
     config: Optional[MSROPMConfig] = None,
     power_model: Optional[PowerModel] = None,
     seed: int = 2025,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
     runner: Optional[ExperimentRunner] = None,
 ) -> Table1Result:
     """Run the Table 1 experiment (optionally scaled) and collect the rows.
 
-    ``engine`` selects the replica engine for the 40-iteration solves
-    (``None`` keeps the config's engine, batched by default); ``precision``
-    selects the tier (``None`` keeps the config's, exact by default).
+    ``precision`` selects the tier of the 40-iteration solves (``None``
+    keeps the config's, exact by default).
     ``runner`` supplies the execution runtime (worker pool + result cache);
     ``None`` uses a serial, uncached runner, which reproduces the historical
     behaviour exactly.
@@ -153,7 +148,6 @@ def run_table1(
         scale=scale,
         config=config,
         seed=seed,
-        engine=engine,
         precision=precision,
     )
     solves = runner.solve_many(requests)

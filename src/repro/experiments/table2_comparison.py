@@ -57,13 +57,10 @@ def plan_table2_requests(
     scale: float = 1.0,
     config: Optional[MSROPMConfig] = None,
     seed: int = 2025,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
 ) -> List[SolveRequest]:
     """The runtime solve requests of Table 2: the headline MSROPM row."""
     config = config or default_config(seed)
-    if engine is not None:
-        config = config.with_updates(engine=engine)
     if precision is not None:
         config = config.with_updates(precision=precision)
     iterations = iterations if iterations is not None else scaled_iterations(scale)
@@ -85,7 +82,6 @@ def run_table2(
     config: Optional[MSROPMConfig] = None,
     power_model: Optional[PowerModel] = None,
     seed: int = 2025,
-    engine: Optional[str] = None,
     precision: Optional[str] = None,
     runner: Optional[ExperimentRunner] = None,
 ) -> Table2Result:
@@ -99,13 +95,9 @@ def run_table2(
     """
     runner = runner or ExperimentRunner()
     config = config or default_config(seed)
-    if engine is not None:
-        # The MSROPM row honours the engine selection; the single-stage
-        # baselines keep their own iteration loops.
-        config = config.with_updates(engine=engine)
     if precision is not None:
-        # Same asymmetry for the tier: only the MSROPM headline row runs at
-        # the selected precision.
+        # Only the MSROPM headline row runs at the selected precision; the
+        # single-stage baselines keep the exact tier.
         config = config.with_updates(precision=precision)
     power_model = power_model or PowerModel()
     iterations = iterations if iterations is not None else scaled_iterations(scale)

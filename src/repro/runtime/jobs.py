@@ -55,7 +55,10 @@ from repro.graphs.graph import Graph
 #: precision tier rides in the hashed config (``MSROPMConfig.precision``) and
 #: results carry execution metadata; exact and throughput runs of the same
 #: workload therefore hash differently and can never share a cache entry.
-JOB_SCHEMA_VERSION = 3
+#: 4 — the engine and coupling-backend fields left ``MSROPMConfig`` (every
+#: solve runs one batched sparse path per tier), so the hashed config lost
+#: two fields.
+JOB_SCHEMA_VERSION = 4
 
 
 def _sha256_text(text: str) -> str:

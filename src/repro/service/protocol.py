@@ -14,13 +14,12 @@ Job spec shapes
     One King's-board (or on-disk graph) solve, mirroring ``msropm solve``:
     keys ``rows`` (default 7), ``graph`` (optional server-side path,
     overrides ``rows``), ``colors`` (4), ``seed`` (1), ``iterations`` (10),
-    ``engine`` ("batched"), ``precision`` ("exact").
+    ``precision`` ("exact").
 
 ``{"kind": "scenarios", ...}``
     The MSROPM column of the scenario matrix, mirroring
     ``msropm scenarios --baselines ""``: keys ``families`` (list, default the
-    whole zoo), ``iterations`` (5), ``seed`` (2025), ``engine``,
-    ``precision``.  Expands to one job per workload instance via the same
+    whole zoo), ``iterations`` (5), ``seed`` (2025), ``precision``.  Expands to one job per workload instance via the same
     planner the CLI uses.
 """
 
@@ -63,7 +62,6 @@ def solve_jobs_from_spec(spec: Dict[str, Any]) -> List[Job]:
     config = MSROPMConfig(
         num_colors=_field(spec, "colors", int, 4),
         seed=seed,
-        engine=_field(spec, "engine", str, "batched"),
         precision=_field(spec, "precision", str, "exact"),
     )
     graph = spec.get("graph")
@@ -102,7 +100,6 @@ def scenario_jobs_from_spec(spec: Dict[str, Any]) -> List[Job]:
         instances,
         iterations=_field(spec, "iterations", int, 5),
         seed=seed,
-        engine=_field(spec, "engine", str, "batched"),
         precision=_field(spec, "precision", str, "exact"),
     )
     return [

@@ -3,9 +3,9 @@
 A digest is the SHA-256 of a case's final phases and colorings (plus the
 per-stage cut tallies or recorded trajectory where the case has them) for a
 fixed seed grid.  The grid covers the workload zoo's King's 5x5 and 7x7, ER,
-myciel5, kcolor8 and wmaxcut instances on both precision tiers, a detuned and
-a dense-backend configuration, the recorded 4x4 trajectory behind Fig. 3, and
-the ROIM and single-stage baselines.
+myciel5, kcolor8 and wmaxcut instances on both precision tiers, a detuned
+configuration, the recorded 4x4 trajectory behind Fig. 3, and the ROIM and
+single-stage baselines.
 
 ``golden_digests.json`` holds the digests together with an arithmetic probe:
 the digest of ``sin``/``cos`` over fixed float64 and float32 arrays.  The
@@ -32,6 +32,7 @@ from repro.baselines.roim_maxcut import ROIMMaxCut
 from repro.baselines.single_stage_ropm import SingleStageROPM
 from repro.core import MSROPM, MSROPMConfig
 from repro.graphs import kings_graph
+from repro.rng import iteration_seeds
 from repro.workloads.registry import expand_workloads
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -106,41 +107,39 @@ def _machine(graph, num_colors: int, precision: str = "exact", **updates) -> MSR
     return MSROPM(graph, config)
 
 
+def _iterations(machine: MSROPM, iterations: int, per_seed: bool):
+    """A solve's iterations, or (``per_seed``) its R=1 runs one seed at a time."""
+    if not per_seed:
+        return machine.solve(iterations=iterations, seed=SOLVE_SEED).iterations
+    return [
+        machine.run_iteration(iteration_index=index, seed=seed)
+        for index, seed in enumerate(iteration_seeds(SOLVE_SEED, iterations))
+    ]
+
+
 def kings_case(rows: int, precision: str) -> Callable[..., str]:
-    def run(engine=None) -> str:
+    def run(per_seed: bool = False) -> str:
         graph = kings_graph(rows, rows)
-        result = _machine(graph, 4, precision).solve(
-            iterations=KINGS_ITERATIONS, seed=SOLVE_SEED, engine=engine
-        )
-        return solve_digest(graph, result.iterations)
+        machine = _machine(graph, 4, precision)
+        return solve_digest(graph, _iterations(machine, KINGS_ITERATIONS, per_seed))
 
     return run
 
 
 def zoo_case(family: str, label_prefix: str, precision: str) -> Callable[..., str]:
-    def run(engine=None) -> str:
+    def run(per_seed: bool = False) -> str:
         instance = _zoo_instance(family, label_prefix)
         graph = instance.build()
-        result = _machine(graph, instance.num_colors, precision).solve(
-            iterations=ZOO_ITERATIONS, seed=SOLVE_SEED, engine=engine
-        )
-        return solve_digest(graph, result.iterations)
+        machine = _machine(graph, instance.num_colors, precision)
+        return solve_digest(graph, _iterations(machine, ZOO_ITERATIONS, per_seed))
 
     return run
 
 
-def detuned_case(engine=None) -> str:
+def detuned_case(per_seed: bool = False) -> str:
     graph = kings_graph(5, 5)
     machine = _machine(graph, 4, frequency_detuning_std=0.01)
-    result = machine.solve(iterations=ZOO_ITERATIONS, seed=SOLVE_SEED, engine=engine)
-    return solve_digest(graph, result.iterations)
-
-
-def dense_case(engine=None) -> str:
-    graph = kings_graph(6, 6)
-    machine = _machine(graph, 4, coupling_backend="dense")
-    result = machine.solve(iterations=ZOO_ITERATIONS, seed=SOLVE_SEED, engine=engine)
-    return solve_digest(graph, result.iterations)
+    return solve_digest(graph, _iterations(machine, ZOO_ITERATIONS, per_seed))
 
 
 def fig3_trajectory_case() -> str:
@@ -176,14 +175,14 @@ def _solve_cases() -> Dict[str, Callable[..., str]]:
         cases[f"kcolor8-{precision}"] = zoo_case("kcolor8", "kcolor8", precision)
         cases[f"wmaxcut-{precision}"] = zoo_case("wmaxcut", "wmaxcut-rows5", precision)
     cases["kings5-detuned"] = detuned_case
-    cases["kings6-dense"] = dense_case
     return cases
 
 
-#: Engine-run cases: ``name -> run(engine=None) -> digest``.
+#: Solve cases: ``name -> run(per_seed=False) -> digest``; ``per_seed=True``
+#: replays an exact-tier case as one R=1 ``run_iteration`` per seed.
 SOLVE_CASES = _solve_cases()
 
-#: Cases outside the engines: recorded trajectories and the baselines.
+#: Cases outside ``MSROPM.solve``: recorded trajectories and the baselines.
 OTHER_CASES: Dict[str, Callable[[], str]] = {
     "fig3-trajectory": fig3_trajectory_case,
     "roim-kings5": roim_case,

@@ -578,8 +578,10 @@ class TestRawStage1Accuracy:
 
         # Raw accuracies bumped these to 2/3; the precision tier bumped them
         # again (tier in the job hash, metadata in the payload); the compact
-        # array layout bumped the results format once more.
-        assert JOB_SCHEMA_VERSION == 3
+        # array layout bumped the results format once more, and dropping the
+        # engine/coupling-backend fields from the hashed config bumped the job
+        # schema to 4.
+        assert JOB_SCHEMA_VERSION == 4
         assert FORMAT_VERSION == 5
 
 
@@ -592,7 +594,7 @@ class TestScenariosCampaign:
         planners must apply their defaults to those, not crash on int(None)."""
         spec = get_campaign("scenarios")
         params = {"families": ["dimacs"], "iterations": None, "seed": None,
-                  "engine": "batched", "baselines": ["sa"]}
+                  "precision": None, "baselines": ["sa"]}
         with ExperimentRunner(cache_dir=tmp_path / "cache") as runner:
             result = run_campaign(
                 spec, params, runner=runner,

@@ -26,22 +26,17 @@ class TestParser:
         args = build_parser().parse_args(["fig3", "--rows", "5", "--seed", "3"])
         assert args.rows == 5 and args.seed == 3
 
-    def test_engine_option_defaults_to_batched(self):
-        assert build_parser().parse_args(["solve"]).engine == "batched"
-        assert build_parser().parse_args(["table1"]).engine == "batched"
-
-    def test_engine_option_accepts_sequential(self):
-        args = build_parser().parse_args(["solve", "--engine", "sequential"])
-        assert args.engine == "sequential"
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["table1"], ["table2"], ["fig5"], ["suite"], ["scenarios"],
+         ["campaign", "run", "suite"], ["client", "submit"]],
+    )
+    def test_no_subcommand_accepts_engine(self, command):
+        # Every solve runs one batched path per precision tier, so --precision
+        # is the only execution flag.
+        assert build_parser().parse_args(command).precision == "exact"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--engine", "turbo"])
-
-    def test_solve_engines_print_identical_tables(self, capsys):
-        main(["solve", "--rows", "4", "--iterations", "2", "--seed", "1", "--engine", "sequential"])
-        sequential_out = capsys.readouterr().out
-        main(["solve", "--rows", "4", "--iterations", "2", "--seed", "1", "--engine", "batched"])
-        batched_out = capsys.readouterr().out
-        assert sequential_out == batched_out
+            build_parser().parse_args(command + ["--engine", "batched"])
 
 
 class TestMain:

@@ -16,7 +16,6 @@ from repro.dynamics import (
     CoupledOscillatorModel,
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
-    GroupMaskedDenseCoupling,
     EnergyTrace,
     PhaseNoiseModel,
     Trajectory,
@@ -291,24 +290,6 @@ class TestBatchedDynamics:
             assert np.array_equal(paired_b[index], -applied[index])
         with pytest.raises(SimulationError):
             operator.apply(np.zeros((2, 6)))
-
-    def test_group_masked_dense_equals_gated_matrices(self):
-        rng = make_rng(2)
-        dense = np.triu(rng.uniform(0.0, 1.0, size=(8, 8)), k=1)
-        base = dense + dense.T
-        groups = np.array([[0, 0, 1, 1, 0, 1, 0, 1], [1, 1, 1, 1, 0, 0, 0, 0]])
-        operator = GroupMaskedDenseCoupling(base, groups)
-        field = rng.uniform(-1.0, 1.0, size=(2, 8))
-        applied = operator.apply(field)
-        for index in range(2):
-            gate = (groups[index][:, None] == groups[index][None, :]).astype(float)
-            assert np.allclose(applied[index], (base * gate) @ field[index])
-
-    def test_group_masked_dense_single_group_is_plain_gemm(self):
-        base = np.array([[0.0, 2.0], [2.0, 0.0]])
-        operator = GroupMaskedDenseCoupling(base, np.zeros((3, 2), dtype=int))
-        field = np.arange(6.0).reshape(3, 2)
-        assert np.allclose(operator.apply(field), field @ base)
 
     def test_batched_model_matches_sequential_model(self):
         matrix = uniform_coupling_matrix(kings_graph(3, 3).sparse_adjacency(), 1e9)

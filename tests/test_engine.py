@@ -1,9 +1,10 @@
-"""Tests for the replica execution engines (sequential vs batched).
+"""Tests for the replica execution engine against the per-seed reference.
 
-The batched engine's contract is strict: for the same seeds it must reproduce
-the sequential engine's colorings, accuracies, stage records and even the
-final oscillator phases *bit-identically* on the sparse coupling backend, and
-produce identical discrete read-outs on the dense backend.
+:class:`repro.core.engine.BatchedEngine` runs every iteration of a solve as
+one ``(R, N)`` batch.  On the exact tier its contract is strict: for the same
+seeds it must reproduce the per-seed R=1 runs of
+:meth:`repro.core.machine.MSROPM.run_iteration` — colorings, accuracies,
+stage records and even the final oscillator phases — bit-identically.
 """
 
 from __future__ import annotations
@@ -11,18 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.core import (
-    MSROPM,
-    BatchedEngine,
-    MSROPMConfig,
-    SequentialEngine,
-    get_engine,
-    resolve_coupling_backend,
-)
-from repro.core.engine import DENSE_DENSITY_THRESHOLD, DENSE_MIN_NODES
+from repro.core import MSROPM, BatchedEngine, MSROPMConfig
 from repro.graphs import Graph, kings_graph
-from repro.rng import ReplicaRNG, make_rng
+from repro.rng import ReplicaRNG, iteration_seeds, make_rng
 
 
 def complete_graph(num_nodes: int) -> Graph:
@@ -30,13 +22,21 @@ def complete_graph(num_nodes: int) -> Graph:
     return Graph(edges=[(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)])
 
 
-def assert_equivalent_solves(sequential, batched, exact_phases: bool = True):
-    """Assert two solve results are replica-for-replica identical."""
-    assert sequential.num_iterations == batched.num_iterations
-    assert np.array_equal(sequential.accuracies, batched.accuracies)
-    for seq_item, bat_item in zip(sequential.iterations, batched.iterations):
+def sequential_iterations(machine, iterations: int, seed: int):
+    """The per-seed reference: one R=1 ``run_iteration`` per solve seed."""
+    return [
+        machine.run_iteration(iteration_index=index, seed=item)
+        for index, item in enumerate(iteration_seeds(seed, iterations))
+    ]
+
+
+def assert_equivalent_iterations(sequential, batched):
+    """Assert two iteration lists are replica-for-replica bit-identical."""
+    assert len(sequential) == len(batched)
+    for seq_item, bat_item in zip(sequential, batched):
         assert seq_item.iteration_index == bat_item.iteration_index
         assert seq_item.seed == bat_item.seed
+        assert seq_item.accuracy == bat_item.accuracy
         assert seq_item.coloring.assignment == bat_item.coloring.assignment
         assert seq_item.run_time == bat_item.run_time
         assert len(seq_item.stage_results) == len(bat_item.stage_results)
@@ -46,147 +46,57 @@ def assert_equivalent_solves(sequential, batched, exact_phases: bool = True):
             assert seq_stage.reference_cut == bat_stage.reference_cut
             assert seq_stage.accuracy == bat_stage.accuracy
             assert seq_stage.partition.side_a == bat_stage.partition.side_a
-        if exact_phases:
-            assert np.array_equal(
-                seq_item.stage_results[-1].final_phases,
-                bat_item.stage_results[-1].final_phases,
-            )
+        assert np.array_equal(
+            seq_item.stage_results[-1].final_phases,
+            bat_item.stage_results[-1].final_phases,
+        )
+
+
+def assert_matches_reference(machine, iterations: int, seed: int):
+    batched = machine.solve(iterations=iterations, seed=seed).iterations
+    assert_equivalent_iterations(sequential_iterations(machine, iterations, seed), batched)
 
 
 class TestEngineSelection:
-    def test_default_config_uses_batched(self):
-        assert MSROPMConfig().engine == "batched"
-
-    def test_get_engine_resolution(self):
-        assert isinstance(get_engine("sequential"), SequentialEngine)
-        assert isinstance(get_engine("batched"), BatchedEngine)
-        assert isinstance(get_engine(None), BatchedEngine)
-        engine = BatchedEngine(coupling_backend="sparse")
-        assert get_engine(engine) is engine
-
-    def test_get_engine_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            get_engine("turbo")
+    def test_default_config_uses_batched(self, fast_config):
+        """``solve`` is ``BatchedEngine.run`` over the solve's seeds."""
+        machine = MSROPM(kings_graph(4, 4), fast_config)
+        direct = BatchedEngine().run(machine, iteration_seeds(9, 3))
+        assert_equivalent_iterations(direct, machine.solve(iterations=3, seed=9).iterations)
 
     def test_config_validates_engine_and_backend(self):
-        with pytest.raises(ConfigurationError):
-            MSROPMConfig(engine="turbo")
-        with pytest.raises(ConfigurationError):
-            MSROPMConfig(coupling_backend="dense-ish")
-        with pytest.raises(ConfigurationError):
-            BatchedEngine(coupling_backend="nope")
-
-    def test_auto_backend_by_density(self):
-        # The paper's King's graphs are sparse (density <= 0.24).
-        assert resolve_coupling_backend("auto", kings_graph(7, 7)) == "sparse"
-        # Small graphs stay sparse even when complete (bit-identical path).
-        assert resolve_coupling_backend("auto", complete_graph(DENSE_MIN_NODES - 1)) == "sparse"
-        # Large dense graphs use the GEMM backend.
-        dense = complete_graph(DENSE_MIN_NODES)
-        assert resolve_coupling_backend("auto", dense) == "dense"
-        assert 2.0 * dense.num_edges / (dense.num_nodes * (dense.num_nodes - 1)) >= (
-            DENSE_DENSITY_THRESHOLD
-        )
-        # Pinned backends pass through untouched.
-        assert resolve_coupling_backend("sparse", dense) == "sparse"
-        assert resolve_coupling_backend("dense", kings_graph(3, 3)) == "dense"
+        """The precision tier is the only execution choice: naming one of the
+        removed engine/backend knobs is an error, not a silent no-op."""
+        for removed in ({"engine": "sequential"}, {"coupling_backend": "dense"}):
+            with pytest.raises(TypeError):
+                MSROPMConfig(**removed)
 
 
 class TestBatchedSequentialEquivalence:
     def test_bit_identical_on_kings_graph(self, fast_config):
-        machine = MSROPM(kings_graph(5, 5), fast_config)
-        sequential = machine.solve(iterations=5, seed=17, engine="sequential")
-        batched = machine.solve(iterations=5, seed=17, engine="batched")
-        assert_equivalent_solves(sequential, batched, exact_phases=True)
-
-    def test_config_engine_matches_explicit_override(self, fast_config):
-        graph = kings_graph(4, 4)
-        by_config = MSROPM(graph, fast_config.with_updates(engine="batched")).solve(
-            iterations=3, seed=9
-        )
-        by_override = MSROPM(graph, fast_config.with_updates(engine="sequential")).solve(
-            iterations=3, seed=9, engine="batched"
-        )
-        assert_equivalent_solves(by_config, by_override, exact_phases=True)
+        assert_matches_reference(MSROPM(kings_graph(5, 5), fast_config), 5, 17)
 
     def test_single_iteration_batch(self, fast_config):
-        machine = MSROPM(kings_graph(4, 4), fast_config)
-        sequential = machine.solve(iterations=1, seed=3, engine="sequential")
-        batched = machine.solve(iterations=1, seed=3, engine="batched")
-        assert_equivalent_solves(sequential, batched, exact_phases=True)
+        assert_matches_reference(MSROPM(kings_graph(4, 4), fast_config), 1, 3)
 
     def test_two_color_single_stage_machine(self, fast_binary_config):
-        machine = MSROPM(kings_graph(4, 4), fast_binary_config)
-        sequential = machine.solve(iterations=4, seed=21, engine="sequential")
-        batched = machine.solve(iterations=4, seed=21, engine="batched")
-        assert_equivalent_solves(sequential, batched, exact_phases=True)
+        assert_matches_reference(MSROPM(kings_graph(4, 4), fast_binary_config), 4, 21)
 
     def test_eight_colors_three_stages(self, fast_config):
         config = fast_config.with_updates(num_colors=8)
-        machine = MSROPM(kings_graph(4, 4), config)
-        sequential = machine.solve(iterations=3, seed=5, engine="sequential")
-        batched = machine.solve(iterations=3, seed=5, engine="batched")
-        assert_equivalent_solves(sequential, batched, exact_phases=True)
+        assert_matches_reference(MSROPM(kings_graph(4, 4), config), 3, 5)
 
     def test_with_frequency_detuning(self, fast_config):
         config = fast_config.with_updates(frequency_detuning_std=0.01)
-        machine = MSROPM(kings_graph(4, 4), config)
-        sequential = machine.solve(iterations=3, seed=13, engine="sequential")
-        batched = machine.solve(iterations=3, seed=13, engine="batched")
-        assert_equivalent_solves(sequential, batched, exact_phases=True)
-
-    def test_dense_backend_reproduces_readouts(self, fast_config):
-        """The dense GEMM backend must read out the same discrete solutions."""
-        graph = complete_graph(12)
-        config = fast_config.with_updates(coupling_backend="dense")
-        machine = MSROPM(graph, config)
-        sequential = machine.solve(iterations=3, seed=7, engine="sequential")
-        batched = machine.solve(iterations=3, seed=7, engine="batched")
-        # Phases agree to floating-point reordering; read-outs are identical.
-        assert_equivalent_solves(sequential, batched, exact_phases=False)
-        for seq_item, bat_item in zip(sequential.iterations, batched.iterations):
-            assert np.allclose(
-                seq_item.stage_results[-1].final_phases,
-                bat_item.stage_results[-1].final_phases,
-            )
+        assert_matches_reference(MSROPM(kings_graph(4, 4), config), 3, 13)
 
     def test_auto_dense_graph_end_to_end(self, fast_config):
-        """A large dense graph auto-selects the dense backend and still solves."""
-        graph = complete_graph(DENSE_MIN_NODES)
+        """A large complete graph runs on the sparse CSR operators like any other."""
+        graph = complete_graph(32)
         machine = MSROPM(graph, fast_config)
         result = machine.solve(iterations=2, seed=1)
-        assert result.num_iterations == 2
         assert all(coloring.covers(graph) for coloring in result.colorings)
-
-
-class TestSweepEnginePlumbing:
-    def test_sweep_engines_produce_identical_points(self, fast_config):
-        from repro.analysis.sweep import coupling_strength_sweep
-
-        graph = kings_graph(4, 4)
-        sequential = coupling_strength_sweep(
-            graph, [0.05, 0.1], base_config=fast_config, iterations=2, seed=3,
-            engine="sequential",
-        )
-        batched = coupling_strength_sweep(
-            graph, [0.05, 0.1], base_config=fast_config, iterations=2, seed=3,
-            engine="batched",
-        )
-        assert len(sequential.points) == len(batched.points) == 2
-        for seq_point, bat_point in zip(sequential.points, batched.points):
-            assert seq_point.mean_accuracy == bat_point.mean_accuracy
-            assert seq_point.best_accuracy == bat_point.best_accuracy
-            assert seq_point.mean_stage1_accuracy == bat_point.mean_stage1_accuracy
-
-    def test_sweep_rejects_invalid_engine(self, fast_config):
-        """A bad engine name must raise, not silently skip every grid point."""
-        from repro.analysis.sweep import coupling_strength_sweep
-
-        with pytest.raises(ConfigurationError):
-            coupling_strength_sweep(
-                kings_graph(3, 3), [0.1], base_config=fast_config, iterations=1,
-                seed=0, engine="batchd",
-            )
+        assert_equivalent_iterations(sequential_iterations(machine, 2, 1), result.iterations)
 
 
 class TestReplicaRNG:

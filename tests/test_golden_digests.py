@@ -1,8 +1,9 @@
 """Solver outputs against the golden digests in ``golden_digests.json``.
 
 The digests were recorded before the stage body was unified; every case must
-still reproduce them bit for bit, through the batched engine and (on the exact
-tier) through the sequential engine.
+still reproduce them bit for bit through ``MSROPM.solve`` and (on the exact
+tier) through the per-seed sequential reference, one R=1
+``MSROPM.run_iteration`` per seed.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ pytestmark = pytest.mark.skipif(
     reason="this platform's sin/cos differ from the ones the digests were recorded with",
 )
 
-#: Exact-tier cases the sequential engine must reproduce (the dense-backend
-#: case is batched-only, and 7x7 repeats 5x5 at 40 sequential runs' cost).
+#: Exact-tier cases the per-seed runs must reproduce (7x7 repeats 5x5 at 40
+#: sequential runs' cost).
 SEQUENTIAL_CASES = [
     name
     for name in SOLVE_CASES
@@ -34,7 +35,8 @@ def test_batched_engine_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(SEQUENTIAL_CASES))
 def test_sequential_engine_matches_golden(name):
-    assert SOLVE_CASES[name](engine="sequential") == GOLDEN["digests"][name]
+    """The per-seed sequential reference: one ``run_iteration`` per seed."""
+    assert SOLVE_CASES[name](per_seed=True) == GOLDEN["digests"][name]
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_CASES))

@@ -9,8 +9,9 @@ reference:
 * the precompiled coupling operators (direct ``csr_matvec(s)`` kernels,
   vectorized block-diagonal construction) against scipy's own products and
   the per-replica ``block_diag`` construction,
-* the batched engine against the sequential engine (the results of the
-  deleted legacy engine body are pinned by ``test_golden_digests.py``),
+* the batched solve against the per-seed R=1 ``run_iteration`` reference
+  (the results of the deleted legacy engine body are pinned by
+  ``test_golden_digests.py``),
 * the no-trajectory guarantee (a default solve materializes no
   :class:`Trajectory` at all),
 * the warm scheduler pool, the per-worker machine memo, and the cached
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core import MSROPM, BatchedEngine, MSROPMConfig, SequentialEngine
+from repro.core import MSROPM, MSROPMConfig
 from repro.core.config import TimingPlan
 from repro.core.stages import CouplingPlan, StageExecutor, partition_coupling_matrix
 from repro.dynamics import integrators
@@ -43,8 +44,7 @@ from repro.dynamics.integrators import (
     rk4_final,
 )
 from repro.dynamics.kuramoto import CoupledOscillatorModel
-from repro.graphs import kings_graph
-from repro.rng import ReplicaRNG, make_rng, normal_noise_block
+from repro.rng import ReplicaRNG, iteration_seeds, make_rng, normal_noise_block
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import (
     MACHINE_MEMO_STATS,
@@ -289,7 +289,7 @@ class TestFastOperators:
             assert np.array_equal(block @ field[replica], applied[replica])
 
     def test_plan_reuses_uniform_operator(self, kings_5x5):
-        plan = CouplingPlan(kings_5x5.edge_index_array(), kings_5x5.num_nodes, 1e9, "sparse")
+        plan = CouplingPlan(kings_5x5.edge_index_array(), kings_5x5.num_nodes, 1e9)
         groups = np.zeros((4, kings_5x5.num_nodes), dtype=int)
         first = plan.operator(groups)
         second = plan.operator(np.ones((7, kings_5x5.num_nodes), dtype=int))
@@ -304,13 +304,21 @@ class TestFastOperators:
         assert np.array_equal(out, model(0.0, phases))
 
 
+def per_seed_runs(machine, iterations, seed):
+    """The sequential reference: one R=1 ``run_iteration`` per solve seed."""
+    return [
+        machine.run_iteration(iteration_index=index, seed=item)
+        for index, item in enumerate(iteration_seeds(seed, iterations))
+    ]
+
+
 class TestFastEngine:
     def test_fast_engine_matches_legacy_and_sequential(self, kings_5x5, fast_config):
         machine = MSROPM(kings_5x5, fast_config)
         fast = machine.solve(iterations=6, seed=21)
-        sequential = machine.solve(iterations=6, seed=21, engine=SequentialEngine())
-        assert np.array_equal(fast.accuracies, sequential.accuracies)
-        for fast_item, ref_item in zip(fast.iterations, sequential.iterations):
+        sequential = per_seed_runs(machine, 6, 21)
+        assert list(fast.accuracies) == [item.accuracy for item in sequential]
+        for fast_item, ref_item in zip(fast.iterations, sequential):
             assert fast_item.coloring.assignment == ref_item.coloring.assignment
             assert len(fast_item.stage_results) == len(ref_item.stage_results)
             for fast_stage, ref_stage in zip(fast_item.stage_results, ref_item.stage_results):
@@ -327,24 +335,11 @@ class TestFastEngine:
         config = fast_config.with_updates(frequency_detuning_std=0.01, seed=5)
         machine = MSROPM(kings_5x5, config)
         fast = machine.solve(iterations=4, seed=8)
-        sequential = machine.solve(iterations=4, seed=8, engine=SequentialEngine())
-        assert np.array_equal(fast.accuracies, sequential.accuracies)
+        sequential = per_seed_runs(machine, 4, 8)
+        assert list(fast.accuracies) == [item.accuracy for item in sequential]
         assert np.array_equal(
             fast.iterations[-1].stage_results[-1].final_phases,
-            sequential.iterations[-1].stage_results[-1].final_phases,
-        )
-
-    def test_fast_engine_dense_backend_matches_legacy(self, fast_config):
-        graph = kings_graph(6, 6)
-        config = fast_config.with_updates(coupling_backend="dense")
-        first = MSROPM(graph, config).solve(iterations=3, seed=13)
-        again = MSROPM(graph, config).solve(
-            iterations=3, seed=13, engine=BatchedEngine(coupling_backend="dense")
-        )
-        assert np.array_equal(first.accuracies, again.accuracies)
-        assert np.array_equal(
-            first.iterations[-1].stage_results[-1].final_phases,
-            again.iterations[-1].stage_results[-1].final_phases,
+            sequential[-1].stage_results[-1].final_phases,
         )
 
     def test_default_solve_materializes_no_trajectory(self, kings_5x5, fast_config, monkeypatch):
@@ -365,10 +360,10 @@ class TestFastEngine:
     def test_executor_cache_is_reused_across_solves(self, kings_5x5, fast_config):
         machine = MSROPM(kings_5x5, fast_config)
         machine.solve(iterations=2, seed=1)
-        executor = machine.batched_executor("sparse")
+        executor = machine.batched_executor()
         plan = executor.plan
         machine.solve(iterations=2, seed=2)
-        assert machine.batched_executor("sparse") is executor
+        assert machine.batched_executor() is executor
         assert executor.plan is plan
 
     def test_collect_trajectory_still_works(self, kings_5x5, fast_config):

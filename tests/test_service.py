@@ -320,9 +320,7 @@ class TestProtocol:
         assert len(jobs) == 1
         cli_job = SolveJob(
             spec=KingsGraphSpec(4, 4),
-            config=MSROPMConfig(
-                num_colors=4, seed=3, engine="batched", precision="exact"
-            ),
+            config=MSROPMConfig(num_colors=4, seed=3, precision="exact"),
             seed=3,
             total_iterations=2,
         )
@@ -338,7 +336,7 @@ class TestProtocol:
         )
         requests = plan_scenario_requests(
             expand_workloads(["er"], base_seed=7), iterations=2, seed=7,
-            engine="batched", precision="exact",
+            precision="exact",
         )
         assert len(jobs) == len(requests) > 0
         planner_hashes = [
@@ -692,12 +690,17 @@ class TestHTTPTransport:
                 assert service.state.read_endpoint() is not None
                 yield service, cache_dir
             finally:
-                future.cancel()
-                loop.call_soon_threadsafe(lambda: None)  # wake the loop
-                try:
-                    future.result(timeout=10.0)
-                except (asyncio.CancelledError, Exception):
-                    pass
+                # Cancel serve() on its own loop and wait until its task has
+                # left ``async with server`` (closing the listening socket)
+                # before the loop stops; cancelling the concurrent future
+                # alone returns before the task has run its exit.
+                async def stop_serving():
+                    tasks = asyncio.all_tasks() - {asyncio.current_task()}
+                    for task in tasks:
+                        task.cancel()
+                    await asyncio.gather(*tasks, return_exceptions=True)
+
+                asyncio.run_coroutine_threadsafe(stop_serving(), loop).result(timeout=10.0)
                 loop.call_soon_threadsafe(loop.stop)
                 thread.join(timeout=10.0)
                 loop.close()

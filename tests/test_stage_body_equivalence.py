@@ -1,7 +1,8 @@
 """Property test: every route into the one stage body gives the same bits.
 
-The sequential engine (R=1 per seed), the batched engine (one ``(R, N)``
-batch), concatenated replica-range chunks, and the ROIM baseline's batched
+The per-seed sequential reference (``MSROPM.run_iteration``, R=1 per seed),
+``MSROPM.solve`` (one ``(R, N)`` batch), concatenated replica-range chunks,
+and the ROIM baseline's batched
 ``solve`` against its per-seed ``run_iteration`` must agree bit for bit on
 colorings (or cuts) and final phases, for any small graph, iteration count and
 chunking.
@@ -67,12 +68,15 @@ def fingerprint(graph, iterations):
 def test_engines_and_chunks_are_bit_identical(case):
     graph, iterations, seed, chunks = case
     machine = MSROPM(graph, CONFIG)
-    batched = machine.solve(iterations=iterations, seed=seed, engine="batched").iterations
-    sequential = machine.solve(iterations=iterations, seed=seed, engine="sequential").iterations
+    batched = machine.solve(iterations=iterations, seed=seed).iterations
+    sequential = [
+        machine.run_iteration(iteration_index=index, seed=item)
+        for index, item in enumerate(iteration_seeds(seed, iterations))
+    ]
     chunked = [
         item
         for start, stop in chunks
-        for item in machine.solve_range(iterations, start, stop, seed=seed, engine="batched")
+        for item in machine.solve_range(iterations, start, stop, seed=seed)
     ]
     expected = fingerprint(graph, batched)
     assert fingerprint(graph, sequential) == expected
