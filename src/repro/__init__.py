@@ -23,7 +23,6 @@ from repro.core import (
     SolveResult,
     StageResult,
     BatchedEngine,
-    divide_and_color,
     solve_coloring,
 )
 from repro.graphs import (
@@ -65,7 +64,6 @@ __all__ = [
     "SolveResult",
     "StageResult",
     "solve_coloring",
-    "divide_and_color",
     "BatchedEngine",
     "Graph",
     "Coloring",

@@ -1,12 +1,5 @@
-"""Analysis layer: statistics, sweeps, comparisons and text reporting."""
+"""Analysis layer: text reporting, the Table 2 comparison and result serialization."""
 
-from repro.analysis.statistics import (
-    IterationStatistics,
-    accuracy_percentiles,
-    expected_best_of_n,
-    iterations_to_reach,
-    time_to_solution,
-)
 from repro.analysis.reporting import (
     FamilyAccuracySummary,
     accuracy_series_text,
@@ -19,14 +12,6 @@ from repro.analysis.reporting import (
     present_accuracy,
     summarize_accuracy_by_family,
     text_histogram,
-)
-from repro.analysis.sweep import (
-    SweepPoint,
-    SweepResult,
-    annealing_time_sweep,
-    coupling_strength_sweep,
-    shil_strength_sweep,
-    sweep_configuration,
 )
 from repro.analysis.comparison import (
     LITERATURE_ROWS,
@@ -43,11 +28,6 @@ from repro.analysis.results_io import (
 )
 
 __all__ = [
-    "IterationStatistics",
-    "time_to_solution",
-    "accuracy_percentiles",
-    "iterations_to_reach",
-    "expected_best_of_n",
     "format_table",
     "format_float",
     "format_power_mw",
@@ -59,12 +39,6 @@ __all__ = [
     "summarize_accuracy_by_family",
     "text_histogram",
     "accuracy_series_text",
-    "SweepPoint",
-    "SweepResult",
-    "sweep_configuration",
-    "coupling_strength_sweep",
-    "shil_strength_sweep",
-    "annealing_time_sweep",
     "ComparisonRow",
     "ComparisonTable",
     "LITERATURE_ROWS",

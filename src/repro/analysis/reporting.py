@@ -96,7 +96,7 @@ def summarize_accuracy_by_family(
     Families appear in first-seen order; ``count`` is the number of pairs
     (instances) contributed, ``mean_accuracy`` averages over every value and
     ``best_accuracy`` is the overall maximum.  Used by the scenario-matrix
-    experiment and the sweep reports to compare workload families at a glance.
+    experiment to compare workload families at a glance.
     """
     grouped: Dict[str, List[float]] = {}
     counts: Dict[str, int] = {}

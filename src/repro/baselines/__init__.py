@@ -14,7 +14,6 @@ from repro.baselines.exact import (
 )
 from repro.baselines.single_stage_ropm import SingleStageROPM
 from repro.baselines.roim_maxcut import ROIMCutResult, ROIMMaxCut
-from repro.baselines.onehot_ising import OneHotSolveResult, solve_onehot_coloring
 
 __all__ = [
     "AnnealingSchedule",
@@ -29,6 +28,4 @@ __all__ = [
     "SingleStageROPM",
     "ROIMMaxCut",
     "ROIMCutResult",
-    "OneHotSolveResult",
-    "solve_onehot_coloring",
 ]

@@ -21,12 +21,6 @@ from repro.core.stages import (
     group_offsets,
     partition_coupling_matrix,
 )
-from repro.core.divide_and_color import (
-    DivideAndColorResult,
-    coloring_from_stage_bits,
-    divide_and_color,
-    local_search_maxcut_solver,
-)
 
 __all__ = [
     "MSROPM",
@@ -51,8 +45,4 @@ __all__ = [
     "group_offsets",
     "partition_coupling_matrix",
     "binarize_against_offsets",
-    "DivideAndColorResult",
-    "divide_and_color",
-    "coloring_from_stage_bits",
-    "local_search_maxcut_solver",
 ]

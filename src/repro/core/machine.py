@@ -165,7 +165,16 @@ class MSROPM:
         bit-identical to the same seed's replica in an exact-tier solve.
         With ``collect_trajectory`` every integrator step is recorded and the
         result carries the ``(T, N)`` trajectory.
+
+        It is the per-seed exact reference only: a machine configured with
+        ``precision="throughput"`` raises :class:`ConfigurationError` rather
+        than compute in the wrong arithmetic; use :meth:`solve` there.
         """
+        if self.config.precision != "exact":
+            raise ConfigurationError(
+                f"run_iteration is the exact-tier reference; this machine is configured "
+                f"for precision={self.config.precision!r} (use solve())"
+            )
         executor = self.batched_executor(collect_trajectory=collect_trajectory)
         result = run_batch(self, [seed], ReplicaRNG([make_rng(seed)]), executor)[0]
         result.iteration_index = iteration_index

@@ -83,8 +83,6 @@ class IterationResult:
         Per-stage records, in stage order.
     run_time:
         Modeled wall-clock of the run in seconds (60 ns for 4-coloring).
-    energy_trace_times / energy_trace_values:
-        Optional coarse energy samples over the run (for annealing plots).
     """
 
     iteration_index: int
@@ -93,8 +91,6 @@ class IterationResult:
     accuracy: float
     stage_results: List[StageResult] = field(default_factory=list)
     run_time: float = 0.0
-    energy_trace_times: Optional[np.ndarray] = None
-    energy_trace_values: Optional[np.ndarray] = None
     #: Full phase trajectory of the run (populated only when the machine is
     #: asked to collect it, e.g. for the Fig. 3 waveform reconstruction).
     trajectory: Optional[object] = None

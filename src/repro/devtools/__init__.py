@@ -5,7 +5,8 @@ feeds a job hash, schema-version-gated cache reuse, atomic-rename-only
 durable writes, allocation-free hot loops — are enforced dynamically by the
 test suite.  This package enforces them *statically*, at lint time, so a
 violating line fails CI the moment it is pushed instead of hours later (or
-never, if no test happens to cover it).
+never, if no test happens to cover it).  It also keeps the package free of
+modules that no command imports.
 
 Entry points:
 

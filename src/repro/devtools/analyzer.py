@@ -12,9 +12,10 @@ Suppressions are inline and must carry a reason::
     value = time.time()  # repro-lint: disable=determinism-wallclock -- why
 
 A ``disable`` directive may sit on the offending line or in the contiguous
-comment block directly above it.  A directive *without* a ``-- reason`` is
-inert and is itself reported (rule ``lint-suppression``), so the repo can
-never accumulate unexplained escapes.
+comment block directly above it.  The same check covers per-file and
+project-level findings.  A directive *without* a ``-- reason`` is inert and
+is itself reported (rule ``lint-suppression``), so the repo can never
+accumulate unexplained escapes.
 
 Configuration lives in ``pyproject.toml`` under ``[tool.repro-lint]`` and
 merges over the defaults coded here.  The coded defaults are authoritative:
@@ -180,10 +181,10 @@ def enclosing_functions(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
 # ----------------------------------------------------------------------
 # Suppressions.
 
-def _directives(module: ModuleSource) -> Dict[int, Tuple[List[str], bool]]:
+def _directives(lines: List[str]) -> Dict[int, Tuple[List[str], bool]]:
     """Line number -> (disabled rules, has_reason) for every directive."""
     found: Dict[int, Tuple[List[str], bool]] = {}
-    for index, line in enumerate(module.lines, start=1):
+    for index, line in enumerate(lines, start=1):
         match = _DISABLE_RE.search(line)
         if match:
             rules = [r for r in match.group("rules").split(",") if r]
@@ -300,6 +301,9 @@ def run_lint(
     config = config or load_config(root)
     checkers, allowed = _rule_filter(all_checkers(), rules)
     findings: List[Finding] = []
+    raw: List[Finding] = []
+    #: relpath -> source lines of every file a directive may sit in.
+    sources: Dict[str, List[str]] = {}
     for path in iter_python_files(root, config):
         relpath = path.relative_to(root).as_posix()
         applicable = [c for c in checkers if c.applies_to(relpath, config)]
@@ -317,8 +321,21 @@ def run_lint(
                 )
             )
             continue
-        directives = _directives(module)
-        for lineno, (_, has_reason) in sorted(directives.items()):
+        sources[relpath] = module.lines
+        for checker in applicable:
+            raw.extend(checker.check_module(module, config))
+    for checker in checkers:
+        raw.extend(checker.check_project(root, config))
+    # Project-level findings may point at files the per-file pass skipped.
+    for relpath in {finding.path for finding in raw} - sources.keys():
+        source = root / relpath
+        is_python = source.suffix == ".py" and source.is_file()
+        sources[relpath] = (
+            source.read_text(encoding="utf-8").splitlines() if is_python else []
+        )
+    directives = {relpath: _directives(lines) for relpath, lines in sources.items()}
+    for relpath, found in directives.items():
+        for lineno, (_, has_reason) in found.items():
             if not has_reason:
                 findings.append(
                     Finding(
@@ -329,12 +346,11 @@ def run_lint(
                         hint="append ' -- <why this line is exempt>' to the directive",
                     )
                 )
-        for checker in applicable:
-            for finding in checker.check_module(module, config):
-                if not _suppressed(finding, directives, module.lines):
-                    findings.append(finding)
-    for checker in checkers:
-        findings.extend(checker.check_project(root, config))
+    findings.extend(
+        finding
+        for finding in raw
+        if not _suppressed(finding, directives[finding.path], sources[finding.path])
+    )
     if allowed is not None:
         allowed = set(allowed) | {"parse-error", "lint-suppression"}
         findings = [f for f in findings if f.rule in allowed]

@@ -8,6 +8,7 @@ output stability.
 from repro.devtools.checkers.atomicity import AtomicityChecker
 from repro.devtools.checkers.determinism import DeterminismChecker
 from repro.devtools.checkers.hotpath import HotPathChecker
+from repro.devtools.checkers.reachability import ReachabilityChecker
 from repro.devtools.checkers.schema_coupling import SchemaCouplingChecker
 
 CHECKERS = [
@@ -15,4 +16,5 @@ CHECKERS = [
     SchemaCouplingChecker,
     AtomicityChecker,
     HotPathChecker,
+    ReachabilityChecker,
 ]

@@ -21,7 +21,6 @@ from repro.dynamics.schedules import (
     linear_ramp,
     smooth_ramp,
 )
-from repro.dynamics.lyapunov import EnergyTrace, energy_trace, order_parameter_trace
 from repro.dynamics.waveform import (
     WaveformSet,
     phase_to_voltage,
@@ -48,9 +47,6 @@ __all__ = [
     "linear_ramp",
     "smooth_ramp",
     "exponential_settle",
-    "EnergyTrace",
-    "energy_trace",
-    "order_parameter_trace",
     "WaveformSet",
     "phase_to_voltage",
     "square_wave",

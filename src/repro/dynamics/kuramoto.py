@@ -1,3 +1,6 @@
+# repro-lint: disable=unreachable-module -- the scalar reference model: perfbench's
+# traced layers wrap CoupledOscillatorModel.evaluate_into, and the integrator
+# tests check integrate_euler_maruyama against it.
 """Generalized Kuramoto phase dynamics of coupled, SHIL-injected ROSCs.
 
 In the rotating frame of the common oscillation frequency, the phase of each

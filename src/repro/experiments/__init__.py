@@ -1,4 +1,4 @@
-"""Experiment harness: one module per paper table/figure, plus ablations."""
+"""Experiment harness: one module per paper table/figure, plus the suite and scenario matrix."""
 
 from repro.experiments.problems import (
     FIGURE5_SIZES,
@@ -35,20 +35,6 @@ from repro.experiments.scenario_matrix import (
     run_scenario_matrix,
 )
 from repro.experiments.suite import SuiteResult, plan_suite_requests, run_suite
-from repro.experiments.energy_landscape import (
-    EnergyLandscapeResult,
-    IntervalTrace,
-    render_energy_landscape,
-    run_energy_landscape,
-)
-from repro.experiments.ablations import (
-    MultiVsSingleStageResult,
-    run_annealing_time_ablation,
-    run_coupling_ablation,
-    run_detuning_ablation,
-    run_multi_vs_single_stage,
-    run_shil_ablation,
-)
 
 __all__ = [
     "BenchmarkProblem",
@@ -84,14 +70,4 @@ __all__ = [
     "ScenarioRow",
     "plan_scenario_requests",
     "run_scenario_matrix",
-    "MultiVsSingleStageResult",
-    "run_coupling_ablation",
-    "run_shil_ablation",
-    "run_annealing_time_ablation",
-    "run_detuning_ablation",
-    "run_multi_vs_single_stage",
-    "EnergyLandscapeResult",
-    "IntervalTrace",
-    "run_energy_landscape",
-    "render_energy_landscape",
 ]

@@ -1,4 +1,4 @@
-"""Ising / Potts / max-cut model layer (Eqs. 1-5 of the paper)."""
+"""Ising / Potts / max-cut model layer (Eqs. 1-4 of the paper)."""
 
 from repro.ising.ising_model import IsingProblem, labels_to_spins, spins_to_labels
 from repro.ising.potts_model import PottsProblem, potts_accuracy
@@ -21,19 +21,11 @@ from repro.ising.maxcut import (
     kings_graph_reference_cut,
     random_partition,
 )
-from repro.ising.coloring_encoding import (
-    OneHotColoringEncoding,
-    spin_count_ising,
-    spin_count_potts,
-)
-from repro.ising.qubo import QUBO, ising_to_qubo, qubo_from_dict
 
 __all__ = [
     "IsingProblem",
     "PottsProblem",
     "MaxCutProblem",
-    "OneHotColoringEncoding",
-    "QUBO",
     "labels_to_spins",
     "spins_to_labels",
     "potts_accuracy",
@@ -51,8 +43,4 @@ __all__ = [
     "kings_graph_reference_cut",
     "random_partition",
     "greedy_local_improvement",
-    "spin_count_ising",
-    "spin_count_potts",
-    "ising_to_qubo",
-    "qubo_from_dict",
 ]

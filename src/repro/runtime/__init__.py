@@ -6,8 +6,7 @@ core.  Experiments declare *what* to solve (:class:`SolveRequest` /
 processes (:class:`JobScheduler`), skipping jobs whose results are already in
 the content-addressed on-disk cache (:class:`ResultCache`), and merging
 replica-chunked solves back deterministically.  :class:`ExperimentRunner`
-is the facade all of `repro.experiments`, `repro.analysis.sweep` and the CLI
-route through.
+is the facade both `repro.experiments` and the CLI route through.
 """
 
 from repro.runtime.cache import (

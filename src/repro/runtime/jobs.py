@@ -227,9 +227,9 @@ class DimacsGraphSpec(GraphSpec):
 class ExplicitGraphSpec(GraphSpec):
     """An in-memory graph, addressed by the SHA-256 of its canonical JSON.
 
-    Used by the sweep harness and library callers that already hold a
-    :class:`Graph`.  The JSON form (and therefore the hash) is computed once
-    and reused across the many jobs of a sweep.
+    Used by library callers that already hold a :class:`Graph`.  The JSON
+    form (and therefore the hash) is computed once and reused across the
+    many jobs of a batch.
     """
 
     def __init__(self, graph: Graph) -> None:

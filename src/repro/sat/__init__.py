@@ -1,12 +1,6 @@
-"""SAT substrate: CNF representation, DIMACS I/O, DPLL solver, coloring encoder."""
+"""SAT substrate: CNF representation, DPLL solver, coloring encoder."""
 
 from repro.sat.cnf import CNF, negate, variable_of
-from repro.sat.dimacs import (
-    from_dimacs_cnf,
-    read_dimacs_cnf,
-    to_dimacs_cnf,
-    write_dimacs_cnf,
-)
 from repro.sat.solver import DPLLSolver, SATResult, solve_cnf
 from repro.sat.coloring_sat import (
     ColoringEncodingSAT,
@@ -19,10 +13,6 @@ __all__ = [
     "CNF",
     "negate",
     "variable_of",
-    "to_dimacs_cnf",
-    "from_dimacs_cnf",
-    "read_dimacs_cnf",
-    "write_dimacs_cnf",
     "DPLLSolver",
     "SATResult",
     "solve_cnf",

@@ -2,9 +2,9 @@
 
 The paper normalizes its accuracy metric against exact solutions obtained
 with "a generic SAT solver".  This package provides that substrate from
-scratch: a CNF data structure (this module), DIMACS CNF serialization, a
-DPLL solver with unit propagation and activity-based branching, and a graph
-coloring → CNF encoder.
+scratch: a CNF data structure (this module), a DPLL solver with unit
+propagation and activity-based branching, and a graph coloring → CNF
+encoder.
 
 Literals follow the DIMACS convention: variables are positive integers
 ``1..n`` and a negative integer denotes a negated variable.

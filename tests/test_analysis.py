@@ -1,8 +1,6 @@
-"""Tests for the analysis layer: statistics, reporting, sweeps and the comparison table."""
+"""Tests for the analysis layer: reporting and the comparison table."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -11,74 +9,16 @@ from repro.exceptions import AnalysisError
 from repro.analysis import (
     ComparisonRow,
     ComparisonTable,
-    IterationStatistics,
     LITERATURE_ROWS,
-    accuracy_percentiles,
     accuracy_range_text,
     accuracy_series_text,
-    annealing_time_sweep,
-    coupling_strength_sweep,
-    expected_best_of_n,
     format_float,
     format_power_mw,
     format_search_space,
     format_table,
     format_time_ns,
-    iterations_to_reach,
-    shil_strength_sweep,
-    sweep_configuration,
     text_histogram,
-    time_to_solution,
 )
-from repro.core import MSROPM
-from repro.graphs import kings_graph
-
-
-class TestStatistics:
-    def _result(self, fast_config, accuracies=None):
-        machine = MSROPM(kings_graph(4, 4), fast_config)
-        return machine.solve(iterations=3, seed=1)
-
-    def test_iteration_statistics_from_result(self, fast_config):
-        result = self._result(fast_config)
-        stats = IterationStatistics.from_result(result)
-        assert stats.num_iterations == 3
-        assert stats.worst_accuracy <= stats.mean_accuracy <= stats.best_accuracy
-        assert 0.0 <= stats.success_probability <= 1.0
-        assert set(stats.as_dict()) >= {"best", "worst", "mean", "std", "exact"}
-
-    def test_time_to_solution_formula(self):
-        assert time_to_solution(60e-9, 1.0) == pytest.approx(60e-9)
-        assert math.isinf(time_to_solution(60e-9, 0.0))
-        halfway = time_to_solution(60e-9, 0.5, target_confidence=0.99)
-        assert halfway == pytest.approx(60e-9 * math.log(0.01) / math.log(0.5))
-
-    def test_time_to_solution_validation(self):
-        with pytest.raises(AnalysisError):
-            time_to_solution(-1.0, 0.5)
-        with pytest.raises(AnalysisError):
-            time_to_solution(1.0, 0.5, target_confidence=1.5)
-
-    def test_accuracy_percentiles(self):
-        percentiles = accuracy_percentiles([0.9, 0.92, 0.95, 1.0], percentiles=(0, 50, 100))
-        assert percentiles[0.0] == 0.9
-        assert percentiles[100.0] == 1.0
-        with pytest.raises(AnalysisError):
-            accuracy_percentiles([])
-
-    def test_iterations_to_reach(self):
-        assert iterations_to_reach([0.9, 0.95, 1.0], 1.0) == 3
-        assert iterations_to_reach([0.9, 0.95], 1.0) is None
-
-    def test_expected_best_of_n(self):
-        accuracies = [0.9, 0.95, 1.0]
-        single = expected_best_of_n(accuracies, 1, seed=1)
-        many = expected_best_of_n(accuracies, 20, seed=1)
-        assert many >= single
-        with pytest.raises(AnalysisError):
-            expected_best_of_n(accuracies, 0)
-        with pytest.raises(AnalysisError):
-            expected_best_of_n([], 3)
 
 
 class TestReporting:
@@ -118,40 +58,6 @@ class TestReporting:
         lines = text.splitlines()
         assert lines[0] == "series"
         assert len(lines) == 4
-
-
-class TestSweeps:
-    def test_coupling_sweep_skips_invalid_points(self, fast_config):
-        graph = kings_graph(4, 4)
-        sweep = coupling_strength_sweep(graph, [0.05, 0.1, 0.9], base_config=fast_config, iterations=2, seed=1)
-        # 0.9 exceeds the oscillation-quenching cap and is skipped.
-        assert len(sweep.points) == 2
-        assert sweep.parameter_names == ["coupling_strength"]
-        best = sweep.best_point()
-        assert best.mean_accuracy >= min(point.mean_accuracy for point in sweep.points)
-        assert len(sweep.as_rows()) == 2
-
-    def test_shil_sweep(self, fast_config):
-        graph = kings_graph(4, 4)
-        sweep = shil_strength_sweep(graph, [0.1, 0.25], base_config=fast_config, iterations=2, seed=2)
-        assert len(sweep.points) == 2
-
-    def test_annealing_time_sweep(self, fast_config):
-        from repro.units import ns
-
-        graph = kings_graph(4, 4)
-        sweep = annealing_time_sweep(graph, [ns(2.0), ns(6.0)], base_config=fast_config, iterations=2, seed=3)
-        assert len(sweep.points) == 2
-
-    def test_sweep_validation(self, fast_config):
-        graph = kings_graph(3, 3)
-        with pytest.raises(AnalysisError):
-            sweep_configuration(graph, fast_config, {}, iterations=1)
-        with pytest.raises(AnalysisError):
-            sweep_configuration(graph, fast_config, {"coupling_strength": [0.1]}, iterations=0)
-        empty = sweep_configuration(graph, fast_config, {"coupling_strength": [5.0]}, iterations=1)
-        with pytest.raises(AnalysisError):
-            empty.best_point()
 
 
 class TestComparisonTable:

@@ -16,7 +16,6 @@ from repro.baselines import (
     exact_coloring_backtracking,
     exact_coloring_sat,
     exact_kings_coloring,
-    solve_onehot_coloring,
     tabucol,
     TabuParameters,
 )
@@ -199,24 +198,3 @@ class TestROIM:
             ROIMMaxCut(Graph(), config=fast_config)
         with pytest.raises(ConfigurationError):
             roim.solve(iterations=0)
-
-
-class TestOneHotBaseline:
-    def test_onehot_solves_small_coloring(self):
-        graph = cycle_graph(6)
-        result = solve_onehot_coloring(graph, num_colors=2, seed=1,
-                                       schedule=AnnealingSchedule(sweeps=150))
-        assert result.num_spins == 12
-        assert result.accuracy >= 0.8
-        assert result.coloring.covers(graph)
-
-    def test_onehot_spin_overhead_vs_potts(self):
-        """The one-hot encoding needs K times more spins than the Potts formulation."""
-        graph = kings_graph(3, 3)
-        result = solve_onehot_coloring(graph, num_colors=4, seed=2,
-                                       schedule=AnnealingSchedule(sweeps=30))
-        assert result.num_spins == 4 * graph.num_nodes
-
-    def test_onehot_validation(self):
-        with pytest.raises(ConfigurationError):
-            solve_onehot_coloring(cycle_graph(3), num_colors=1)

@@ -1,11 +1,9 @@
-"""Tests for the MSROPM machine, stage execution, mapping and divide-and-color."""
+"""Tests for the MSROPM machine, stage execution and mapping."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, MappingError, StageError
 from repro.core import (
@@ -13,11 +11,8 @@ from repro.core import (
     MSROPMConfig,
     StageExecutor,
     binarize_against_offsets,
-    coloring_from_stage_bits,
-    divide_and_color,
     group_offsets,
     identity_mapping,
-    local_search_maxcut_solver,
     map_to_kings_fabric,
     partition_coupling_matrix,
     solve_coloring,
@@ -27,7 +22,6 @@ from repro.graphs import (
     cycle_graph,
     grid_graph,
     kings_graph,
-    kings_graph_reference_coloring,
 )
 from repro.ising import kings_graph_reference_cut
 from repro.rng import make_rng
@@ -226,57 +220,3 @@ class TestMachine:
         machine = MSROPM(graph, fast_binary_config, stage1_reference_cut=graph.num_edges)
         result = machine.solve(iterations=3, seed=8)
         assert result.best_accuracy >= 0.9
-
-
-class TestDivideAndColor:
-    def test_software_divide_and_color_matches_machine_decomposition(self):
-        graph = kings_graph(6, 6)
-        result = divide_and_color(graph, num_colors=4, seed=0)
-        assert result.num_stages == 2
-        assert result.coloring.covers(graph)
-        assert result.coloring.accuracy(graph) >= 0.9
-
-    def test_perfect_stage_cuts_give_proper_coloring(self):
-        """Feeding the reference partitions through the bit composition yields the exact coloring."""
-        graph = kings_graph(5, 5)
-        reference = kings_graph_reference_coloring(5, 5)
-        stage_bits = [
-            {node: (reference.color_of(node) >> 0) & 1 for node in graph.nodes},
-            {node: (reference.color_of(node) >> 1) & 1 for node in graph.nodes},
-        ]
-        composed = coloring_from_stage_bits(graph, stage_bits, 4)
-        assert composed.is_proper(graph)
-        assert composed.assignment == reference.assignment
-
-    def test_two_color_divide_and_color_on_bipartite(self):
-        graph = grid_graph(4, 4)
-        result = divide_and_color(graph, num_colors=2, seed=1)
-        # The default solver is a 1-exchange local search, which may stop in a
-        # local optimum; it must still cover the graph and cut most edges.
-        assert result.coloring.covers(graph)
-        assert result.coloring.accuracy(graph) >= 0.75
-        assert result.stage_cut_values[0] == graph.num_edges - result.coloring.num_conflicts(graph)
-
-    def test_eight_colors_runs_three_stages(self):
-        graph = kings_graph(4, 4)
-        result = divide_and_color(graph, num_colors=8, seed=2)
-        assert result.num_stages == 3
-        assert result.coloring.num_colors == 8
-
-    def test_validation(self):
-        graph = kings_graph(3, 3)
-        with pytest.raises(ConfigurationError):
-            divide_and_color(graph, num_colors=3)
-        with pytest.raises(ConfigurationError):
-            coloring_from_stage_bits(graph, [], 4)
-        with pytest.raises(ConfigurationError):
-            local_search_maxcut_solver(passes=0)
-        with pytest.raises(ConfigurationError):
-            coloring_from_stage_bits(graph, [{node: 2 for node in graph.nodes}], 2)
-
-    @given(seed=st.integers(min_value=0, max_value=100))
-    @settings(max_examples=10, deadline=None)
-    def test_divide_and_color_accuracy_bounded(self, seed):
-        graph = kings_graph(4, 4)
-        result = divide_and_color(graph, num_colors=4, seed=seed)
-        assert 0.0 <= result.coloring.accuracy(graph) <= 1.0

@@ -9,7 +9,9 @@ Two layers:
 * schema-manifest round-trips on a copied mini-repo proving the coupling
   discipline end to end: a hashed-field addition without a version bump
   fails lint and blocks ``regen-manifest``; with the bump, regeneration
-  succeeds and lint returns to zero.
+  succeeds and lint returns to zero;
+* an import-graph mini-repo pinning which modules the reachability rule
+  counts as reached from the CLI.
 """
 
 from __future__ import annotations
@@ -484,6 +486,84 @@ class TestSchemaManifest:
         findings = SchemaCouplingChecker().check_project(root, LintConfig(root=root))
         assert rules_of(findings) == ["schema-manifest"]
         assert "missing" in findings[0].message
+
+
+# ----------------------------------------------------------------------
+# Module reachability.
+
+#: A package whose CLI reaches modules in each way the walk must follow.
+_REACH_SOURCES = {
+    "__init__.py": "",
+    "cli.py": (
+        "from repro.pkg import helper\n"
+        "from repro.registry import REGISTRY\n\n"
+        "def main():\n"
+        "    from repro import lazy\n"
+        "    return helper, REGISTRY, lazy\n"
+    ),
+    "lazy.py": "X = 1\n",
+    "pkg/__init__.py": (
+        "from repro.pkg.impl import helper\n"
+        "from repro.pkg.reexported import unused\n\n"
+        "__all__ = [\"helper\", \"unused\"]\n"
+    ),
+    "pkg/impl.py": "def helper():\n    return 1\n",
+    "pkg/reexported.py": "def unused():\n    return 2\n",
+    "registry/__init__.py": "from repro.registry.first import First\n\nREGISTRY = [First]\n",
+    "registry/first.py": "class First:\n    pass\n",
+    "orphan.py": '"""Nothing imports this."""\n',
+}
+
+
+def _reach_repo(tmp_path: Path, orphan_header: str = "") -> LintConfig:
+    for relpath, source in _REACH_SOURCES.items():
+        target = tmp_path / "src" / "repro" / relpath
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if relpath == "orphan.py":
+            source = orphan_header + source
+        target.write_text(source, encoding="utf-8")
+    return LintConfig(root=tmp_path, paths=["src/repro"], exclude=[])
+
+
+def _reach_findings(tmp_path: Path, orphan_header: str = ""):
+    config = _reach_repo(tmp_path, orphan_header)
+    return [
+        (finding.rule, finding.path)
+        for finding in run_lint(tmp_path, rules=["reachability"], config=config)
+    ]
+
+
+class TestReachability:
+    def test_orphan_and_plain_reexport_are_flagged(self, tmp_path):
+        assert _reach_findings(tmp_path) == [
+            ("unreachable-module", "src/repro/orphan.py"),
+            ("unreachable-module", "src/repro/pkg/reexported.py"),
+        ]
+
+    def test_function_level_import_is_an_edge(self, tmp_path):
+        assert ("unreachable-module", "src/repro/lazy.py") not in _reach_findings(tmp_path)
+
+    def test_from_package_import_resolves_to_the_defining_module(self, tmp_path):
+        assert ("unreachable-module", "src/repro/pkg/impl.py") not in _reach_findings(tmp_path)
+
+    def test_registry_in_package_init_is_an_edge(self, tmp_path):
+        assert ("unreachable-module", "src/repro/registry/first.py") not in _reach_findings(
+            tmp_path
+        )
+
+    def test_reasoned_directive_silences(self, tmp_path):
+        header = "# repro-lint: disable=unreachable-module -- kept as a reference model\n"
+        assert _reach_findings(tmp_path, header) == [
+            ("unreachable-module", "src/repro/pkg/reexported.py"),
+        ]
+
+    def test_unreasoned_directive_is_inert_and_flagged(self, tmp_path):
+        header = "# repro-lint: disable=unreachable-module\n"
+        assert _reach_findings(tmp_path, header) == [
+            ("lint-suppression", "src/repro/orphan.py"),
+            ("unreachable-module", "src/repro/orphan.py"),
+            ("unreachable-module", "src/repro/pkg/reexported.py"),
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -16,17 +16,14 @@ from repro.dynamics import (
     CoupledOscillatorModel,
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
-    EnergyTrace,
     PhaseNoiseModel,
     Trajectory,
     constant_ramp,
-    energy_trace,
     exponential_settle,
     integrate_euler_maruyama,
     integrate_rk4,
     integrate_scipy,
     linear_ramp,
-    order_parameter_trace,
     perturbed_phases,
     random_initial_phases,
     smooth_ramp,
@@ -161,9 +158,9 @@ class TestCoupledOscillatorModel:
         model = CoupledOscillatorModel(coupling_matrix=matrix, shil_strength=5e8, shil_order=2)
         start = random_initial_phases(graph.num_nodes, seed=8)
         trajectory = integrate_rk4(model, start, duration=10e-9, dt=1e-11, record_every=5)
-        trace = energy_trace(model, trajectory)
-        assert trace.is_monotone_nonincreasing(tolerance=1e-3)
-        assert trace.final < trace.initial
+        energies = np.array([model.energy(phases) for phases in trajectory.phases])
+        assert np.all(np.diff(energies) <= 1e-3)
+        assert energies[-1] < energies[0]
 
     def test_order_parameter_bounds(self):
         model = two_oscillator_model()
@@ -174,6 +171,14 @@ class TestCoupledOscillatorModel:
         model = two_oscillator_model()
         binarized = np.array([0.0, np.pi])
         assert model.order_parameter(binarized, harmonic=2) == pytest.approx(1.0)
+
+    def test_order_parameter_trace(self):
+        model = two_oscillator_model(rate=2e9)
+        trajectory = integrate_rk4(model, np.array([0.0, 0.3]), 10e-9, 2e-11, record_every=10)
+        series = np.array([model.order_parameter(phases) for phases in trajectory.phases])
+        assert series.shape == (len(trajectory.times),)
+        # Repulsive coupling drives the pair towards anti-phase, i.e. low first-harmonic order.
+        assert series[-1] < series[0]
 
     def test_detuning_shifts_rates(self):
         matrix = uniform_coupling_matrix(np.zeros((2, 2)), 0.0)
@@ -417,25 +422,3 @@ class TestSchedules:
             constant_ramp(-1.0)
         with pytest.raises(SimulationError):
             AnnealingPolicy(shil_ramp_fraction=1.5)
-
-
-class TestEnergyTrace:
-    def test_trace_fields(self):
-        trace = EnergyTrace(times=np.array([0.0, 1.0, 2.0]), energies=np.array([3.0, 2.0, 1.0]))
-        assert trace.initial == 3.0
-        assert trace.final == 1.0
-        assert trace.minimum == 1.0
-        assert trace.total_decrease() == 2.0
-        assert trace.is_monotone_nonincreasing()
-
-    def test_trace_shape_validation(self):
-        with pytest.raises(SimulationError):
-            EnergyTrace(times=np.zeros(3), energies=np.zeros(2))
-
-    def test_order_parameter_trace(self):
-        model = two_oscillator_model(rate=2e9)
-        trajectory = integrate_rk4(model, np.array([0.0, 0.3]), 10e-9, 2e-11, record_every=10)
-        series = order_parameter_trace(model, trajectory)
-        assert series.shape == (len(trajectory.times),)
-        # Repulsive coupling drives the pair towards anti-phase, i.e. low first-harmonic order.
-        assert series[-1] < series[0]

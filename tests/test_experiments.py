@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (Figures 3 and 5, Tables 1 and 2, ablations)."""
+"""Tests for the experiment harness (Figures 3 and 5, Tables 1 and 2, design trade-offs)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.baselines import SingleStageROPM
 from repro.circuit import PAPER_POWER_MW
+from repro.core import MSROPM
 from repro.experiments import (
     FIGURE5_SIZES,
     PAPER_ITERATIONS,
@@ -16,17 +18,15 @@ from repro.experiments import (
     power_scaling_series,
     render_figure3,
     render_figure5,
-    run_coupling_ablation,
     run_figure3,
     run_figure5,
-    run_multi_vs_single_stage,
-    run_shil_ablation,
     run_table1,
     run_table2,
     scaled_iterations,
     scaled_problem,
 )
 from repro.experiments.fig5_accuracy import Figure5Result
+from repro.graphs import kings_graph
 
 
 class TestProblems:
@@ -151,18 +151,19 @@ class TestTable2:
 
     def test_msropm_outperforms_single_stage_on_its_problem(self, fast_config):
         """The paper's architectural claim: multi-stage beats single-stage N-SHIL."""
-        comparison = run_multi_vs_single_stage(rows=5, iterations=4, config=fast_config, seed=16)
-        assert comparison.multi_stage_mean >= comparison.single_stage_mean
-        assert comparison.advantage >= 0.0
+        graph = kings_graph(5, 5)
+        multi = MSROPM(graph, fast_config).solve(iterations=4, seed=16)
+        single = SingleStageROPM(graph, num_colors=4, config=fast_config).solve(iterations=4, seed=16)
+        assert multi.accuracies.mean() >= single.accuracies.mean()
 
 
 class TestAblations:
-    def test_coupling_ablation_runs(self, fast_config):
-        sweep = run_coupling_ablation(rows=4, strengths=(0.05, 0.1), iterations=2, config=fast_config, seed=17)
-        assert len(sweep.points) == 2
-
     def test_shil_ablation_detects_weak_injection(self, fast_config):
         """Very weak SHIL discretizes poorly; the nominal strength must not be worse."""
-        sweep = run_shil_ablation(rows=4, strengths=(0.02, 0.25), iterations=3, config=fast_config, seed=18)
-        by_strength = {point.overrides["shil_strength"]: point.mean_accuracy for point in sweep.points}
+        by_strength = {
+            strength: MSROPM(kings_graph(4, 4), fast_config.with_updates(shil_strength=strength))
+            .solve(iterations=3, seed=18)
+            .accuracies.mean()
+            for strength in (0.02, 0.25)
+        }
         assert by_strength[0.25] >= by_strength[0.02] - 0.05

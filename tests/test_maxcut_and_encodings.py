@@ -1,34 +1,22 @@
-"""Tests for max-cut utilities, the one-hot coloring encoding (Eq. 5) and QUBO."""
+"""Tests for the max-cut utilities."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import ReproError
 from repro.graphs import (
     Bipartition,
-    Coloring,
     complete_bipartite_graph,
     cycle_graph,
     kings_graph,
-    kings_graph_reference_coloring,
 )
 from repro.ising import (
     MaxCutProblem,
-    OneHotColoringEncoding,
-    QUBO,
     cut_from_ising_energy,
     greedy_local_improvement,
-    ising_to_qubo,
     kings_graph_reference_cut,
-    qubo_from_dict,
     random_partition,
-    spin_count_ising,
-    spin_count_potts,
-    IsingProblem,
 )
 
 
@@ -114,111 +102,3 @@ class TestMaxCut:
     def test_kings_reference_cut_validation(self):
         with pytest.raises(ReproError):
             kings_graph_reference_cut(0, 4)
-
-
-class TestOneHotEncoding:
-    def test_variable_count(self):
-        graph = kings_graph(3, 3)
-        encoding = OneHotColoringEncoding(graph, num_colors=4)
-        assert encoding.num_variables == 36
-        assert spin_count_ising(graph, 4) == 36
-        assert spin_count_potts(graph) == 9
-
-    def test_variable_index_round_trip(self):
-        graph = kings_graph(2, 2)
-        encoding = OneHotColoringEncoding(graph, num_colors=4)
-        for node in graph.nodes:
-            for color in range(4):
-                index = encoding.variable_index(node, color)
-                assert encoding.variable_of(index) == (node, color)
-
-    def test_proper_coloring_has_zero_energy(self):
-        graph = kings_graph(3, 3)
-        encoding = OneHotColoringEncoding(graph, num_colors=4)
-        coloring = kings_graph_reference_coloring(3, 3)
-        assert encoding.energy(encoding.encode(coloring)) == 0.0
-
-    def test_monochromatic_edge_penalized(self):
-        graph = cycle_graph(2)
-        encoding = OneHotColoringEncoding(graph, num_colors=2, penalty=3.0)
-        bits = encoding.encode(Coloring(assignment={0: 0, 1: 0}, num_colors=2))
-        assert encoding.energy(bits) == pytest.approx(3.0)
-
-    def test_one_hot_violation_penalized(self):
-        graph = cycle_graph(2)
-        encoding = OneHotColoringEncoding(graph, num_colors=2)
-        bits = np.zeros(encoding.num_variables, dtype=int)  # nothing assigned
-        assert encoding.energy(bits) == pytest.approx(2.0)
-
-    def test_decode_strict_raises_on_violation(self):
-        graph = cycle_graph(2)
-        encoding = OneHotColoringEncoding(graph, num_colors=2)
-        bits = np.ones(encoding.num_variables, dtype=int)
-        with pytest.raises(ReproError):
-            encoding.decode(bits, strict=True)
-        lenient = encoding.decode(bits, strict=False)
-        assert lenient.covers(graph)
-
-    def test_encode_decode_round_trip(self):
-        graph = kings_graph(3, 3)
-        encoding = OneHotColoringEncoding(graph, num_colors=4)
-        coloring = kings_graph_reference_coloring(3, 3)
-        assert encoding.decode(encoding.encode(coloring)).assignment == coloring.assignment
-
-    def test_qubo_matrix_energy_matches_direct(self):
-        graph = cycle_graph(3)
-        encoding = OneHotColoringEncoding(graph, num_colors=3, penalty=2.0)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            bits = rng.integers(0, 2, encoding.num_variables)
-            direct = encoding.energy(bits)
-            via_qubo = float(bits @ encoding.qubo_matrix() @ bits) + encoding.qubo_constant()
-            assert via_qubo == pytest.approx(direct)
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            OneHotColoringEncoding(cycle_graph(3), num_colors=1)
-        with pytest.raises(ReproError):
-            OneHotColoringEncoding(cycle_graph(3), num_colors=3, penalty=0.0)
-
-
-class TestQUBO:
-    def test_symmetry_required(self):
-        with pytest.raises(ReproError):
-            QUBO(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_energy_evaluation(self):
-        qubo = qubo_from_dict(2, {(0, 0): 1.0, (0, 1): 2.0}, offset=0.5)
-        assert qubo.energy(np.array([1, 1])) == pytest.approx(1.0 + 2.0 + 0.5)
-        assert qubo.energy(np.array([1, 0])) == pytest.approx(1.5)
-
-    def test_energy_validation(self):
-        qubo = qubo_from_dict(2, {(0, 1): 1.0})
-        with pytest.raises(ReproError):
-            qubo.energy(np.array([1, 2]))
-
-    def test_ising_round_trip_energies_match(self):
-        graph = kings_graph(3, 3)
-        ising = IsingProblem.antiferromagnetic(graph)
-        qubo = ising_to_qubo(ising)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            spins = rng.choice([-1, 1], size=graph.num_nodes)
-            bits = ((spins + 1) // 2).astype(int)
-            spins_dict = {node: int(s) for node, s in zip(graph.nodes, spins)}
-            assert qubo.energy(bits) == pytest.approx(ising.energy(spins_dict), abs=1e-9)
-
-    def test_qubo_to_ising_terms_consistent(self):
-        qubo = qubo_from_dict(3, {(0, 1): 1.0, (1, 2): -2.0, (0, 0): 0.5}, offset=1.0)
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            spins = rng.choice([-1, 1], size=3)
-            bits = ((spins + 1) // 2).astype(int)
-            assert qubo.ising_energy(spins.astype(float)) == pytest.approx(qubo.energy(bits), abs=1e-9)
-
-    @given(seed=st.integers(min_value=0, max_value=100))
-    @settings(max_examples=20, deadline=None)
-    def test_qubo_from_dict_term_bounds(self, seed):
-        rng = np.random.default_rng(seed)
-        with pytest.raises(ReproError):
-            qubo_from_dict(2, {(0, 3): float(rng.normal())})

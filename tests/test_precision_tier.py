@@ -6,7 +6,8 @@ Covered here:
 * the :class:`~repro.rng.ThroughputRNG` batched-stream RNG (shapes, dtype,
   moment matching, determinism),
 * the throughput solve path itself: it runs, is deterministic per seed,
-  records its provenance metadata, and leaves the exact tier bit-identical,
+  records its provenance metadata, leaves the exact tier bit-identical, and
+  is refused by the exact-only per-seed ``run_iteration`` reference,
 * tier segregation in the runtime: exact and throughput jobs hash
   differently, never share cache entries, and a campaign re-planned under a
   different tier schedules disjoint jobs,
@@ -187,6 +188,12 @@ class TestThroughputSolve:
                 batched_item.stage_results[-1].final_phases,
                 sequential_item.stage_results[-1].final_phases,
             )
+
+    def test_run_iteration_refuses_throughput_tier(self, kings_5x5):
+        """The R=1 per-seed reference is exact-only; it must not silently run exact."""
+        machine = MSROPM(kings_5x5, MSROPMConfig(num_colors=4, seed=5, precision="throughput"))
+        with pytest.raises(ConfigurationError, match="exact-tier reference"):
+            machine.run_iteration(seed=1)
 
     def test_accuracy_comparable_to_exact(self, kings_7x7):
         exact = MSROPM(kings_7x7, MSROPMConfig(num_colors=4, seed=9)).solve(iterations=10)

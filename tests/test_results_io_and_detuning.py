@@ -15,7 +15,6 @@ from repro.analysis import (
     solve_result_to_dict,
 )
 from repro.core import MSROPM, MSROPMConfig
-from repro.experiments import run_detuning_ablation
 from repro.graphs import kings_graph
 
 
@@ -151,10 +150,3 @@ class TestFrequencyDetuning:
         # A second machine with the same seed draws the same mismatch.
         other = MSROPM(kings_graph(4, 4), config)
         assert np.allclose(other._frequency_detuning, first)
-
-    def test_detuning_ablation_runs(self, fast_config):
-        sweep = run_detuning_ablation(
-            rows=4, detuning_stds=(0.0, 0.01), iterations=2, config=fast_config, seed=19
-        )
-        assert len(sweep.points) == 2
-        assert sweep.parameter_names == ["frequency_detuning_std"]

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.analysis.sweep import coupling_strength_sweep
 from repro.core.machine import MSROPM
 from repro.graphs.generators import kings_graph
 from repro.graphs.io import write_dimacs
@@ -237,11 +236,22 @@ class TestSchedulerAndRunner:
             SolveRequest(spec=KingsGraphSpec(4, 4), config=fast_config, iterations=4, seed=7),
             SolveRequest(spec=KingsGraphSpec(5, 4), config=fast_config, iterations=3, seed=8),
             SolveRequest(spec=KingsGraphSpec(4, 5), config=fast_config, iterations=2, seed=9),
+            # Same graph and seed as the first request, one config field apart:
+            # one pooled batch must keep the two configs' jobs apart.
+            SolveRequest(
+                spec=KingsGraphSpec(4, 4),
+                config=fast_config.with_updates(coupling_strength=0.2),
+                iterations=4,
+                seed=7,
+            ),
         ]
         serial = ExperimentRunner(workers=1).solve_many(requests)
         parallel = ExperimentRunner(workers=4).solve_many(requests)
         for a, b in zip(serial, parallel):
             _assert_identical(a, b)
+        assert [i.coloring.assignment for i in serial[0].iterations] != [
+            i.coloring.assignment for i in serial[3].iterations
+        ]
 
     def test_parallel_chunked_matches_unchunked(self, fast_config):
         request = SolveRequest(spec=KingsGraphSpec(4, 4), config=fast_config, iterations=6, seed=21)
@@ -311,35 +321,3 @@ class TestSchedulerAndRunner:
             assert result.graph.num_nodes == rows * cols
             assert [i.seed for i in result.iterations] == [i.seed for i in reference.iterations]
             assert np.array_equal(result.accuracies, reference.accuracies)
-
-
-class TestSweepThroughRuntime:
-    def test_parallel_sweep_matches_serial(self, fast_config, small_grid):
-        strengths = (0.05, 0.1, 0.2)
-        serial = coupling_strength_sweep(
-            small_grid, strengths, base_config=fast_config, iterations=2, seed=4
-        )
-        parallel = coupling_strength_sweep(
-            small_grid,
-            strengths,
-            base_config=fast_config,
-            iterations=2,
-            seed=4,
-            runner=ExperimentRunner(workers=3),
-        )
-        assert [p.overrides for p in serial.points] == [p.overrides for p in parallel.points]
-        for a, b in zip(serial.points, parallel.points):
-            assert a.statistics == b.statistics
-            assert a.mean_stage1_accuracy == b.mean_stage1_accuracy
-
-    def test_invalid_grid_points_still_skipped(self, fast_config, small_grid):
-        sweep = coupling_strength_sweep(
-            small_grid, (0.1, 99.0), base_config=fast_config, iterations=1, seed=4
-        )
-        assert len(sweep.points) == 1
-
-    def test_empty_value_sequence_yields_empty_sweep(self, fast_config, small_grid):
-        sweep = coupling_strength_sweep(
-            small_grid, (), base_config=fast_config, iterations=1, seed=4
-        )
-        assert sweep.points == []

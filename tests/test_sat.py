@@ -1,4 +1,4 @@
-"""Tests for the CNF representation, DIMACS CNF I/O and the DPLL solver."""
+"""Tests for the CNF representation and the DPLL solver."""
 
 from __future__ import annotations
 
@@ -10,13 +10,9 @@ from repro.exceptions import SATError
 from repro.sat import (
     CNF,
     DPLLSolver,
-    from_dimacs_cnf,
     negate,
-    read_dimacs_cnf,
     solve_cnf,
-    to_dimacs_cnf,
     variable_of,
-    write_dimacs_cnf,
 )
 
 
@@ -89,32 +85,6 @@ class TestCNF:
         clone = formula.copy()
         clone.add_clause([2])
         assert formula.num_clauses == 1
-
-
-class TestDimacsCNF:
-    def test_round_trip(self):
-        formula = CNF(clauses=[[1, -2], [2, 3], [-1, -3]])
-        back = from_dimacs_cnf(to_dimacs_cnf(formula, comment="test"))
-        assert back.num_variables == formula.num_variables
-        assert sorted(back.clauses) == sorted(formula.clauses)
-
-    def test_file_round_trip(self, tmp_path):
-        formula = CNF(clauses=[[1, 2], [-1]])
-        path = tmp_path / "formula.cnf"
-        write_dimacs_cnf(formula, path)
-        assert read_dimacs_cnf(path).num_clauses == 2
-
-    def test_requires_header(self):
-        with pytest.raises(SATError):
-            from_dimacs_cnf("1 2 0\n")
-
-    def test_header_can_declare_extra_variables(self):
-        formula = from_dimacs_cnf("p cnf 5 1\n1 2 0\n")
-        assert formula.num_variables == 5
-
-    def test_clause_spanning_lines(self):
-        formula = from_dimacs_cnf("p cnf 3 1\n1 2\n3 0\n")
-        assert formula.clauses[0] == (1, 2, 3)
 
 
 class TestDPLL:
