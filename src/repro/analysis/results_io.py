@@ -18,13 +18,22 @@ write, hash and read back:
 * per stage, ``side_b`` — a base64 ``np.packbits`` bitmap of length N (bit
   ``i`` set when node ``i`` is on side B; side A is the complement).
 
+Decoding validates every member eagerly, as whole-array checks, and then
+keeps the arrays as they are: a decoded
+:class:`~repro.core.results.IterationResult` holds its ``uint8`` colors and
+each :class:`~repro.core.results.StageResult` its side-B row, and they build
+the label-keyed ``coloring`` and ``partition`` only when those are read.
+Encoding packs straight from the same arrays (the solver's results hold
+them too), so a round trip builds no per-node Python objects.
+
 Every payload is stamped with :data:`SCHEMA` and :data:`FORMAT_VERSION`, and
 loading rejects any mismatch.  This is what the runtime's result cache
 (:mod:`repro.runtime.cache`) relies on for clean invalidation: when the format
 evolves, old cache entries fail to load, read as misses, and are recomputed.
 Any malformed v5 member (bad base64, an array or bitmap of the wrong length,
-a color outside ``[0, num_colors)``, a graph that does not match the one the
-caller supplies) raises :class:`~repro.exceptions.AnalysisError`.
+bitmap bits set past the last node, a color outside ``[0, num_colors)``, a
+graph that does not match the one the caller supplies) raises
+:class:`~repro.exceptions.AnalysisError` at decode, never at first access.
 """
 
 from __future__ import annotations
@@ -37,12 +46,10 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.exceptions import AnalysisError, ColoringError, GraphError
+from repro.exceptions import AnalysisError, GraphError
 from repro.core.results import IterationResult, SolveResult, StageResult
-from repro.graphs.coloring import Coloring
 from repro.graphs.graph import Graph
 from repro.graphs.io import decode_node, encode_node
-from repro.graphs.partition import Bipartition
 
 PathLike = Union[str, Path]
 
@@ -136,35 +143,35 @@ def _graph_from_dict(payload: Any, graph: Optional[Graph]) -> Graph:
 
 
 def solve_result_to_dict(result: SolveResult) -> Dict:
-    """Convert a :class:`SolveResult` to a JSON-serializable dictionary."""
+    """Convert a :class:`SolveResult` to a JSON-serializable dictionary.
+
+    Colors and side-B rows are packed straight from the results' arrays;
+    only results built from label-keyed objects are walked node by node.
+    """
     graph = result.graph
     if not 0 < result.num_colors <= MAX_COLORS:
         raise AnalysisError(f"cannot store {result.num_colors} colors (at most {MAX_COLORS})")
-    node_order = graph.nodes
+    node_order = result.node_order
     iterations: List[Dict] = []
     for item in result.iterations:
-        stages = []
-        for stage in item.stage_results:
-            side_b = stage.partition.side_b
-            bits = np.fromiter(map(side_b.__contains__, node_order), dtype=bool, count=len(node_order))
-            stages.append(
-                {
-                    "stage_index": stage.stage_index,
-                    "cut_value": stage.cut_value,
-                    "reference_cut": stage.reference_cut,
-                    "accuracy": stage.accuracy,
-                    "raw_accuracy": stage.raw,
-                    "side_b": _b64(np.packbits(bits)),
-                }
-            )
-        colors = item.coloring.as_array(graph)
+        stages = [
+            {
+                "stage_index": stage.stage_index,
+                "cut_value": stage.cut_value,
+                "reference_cut": stage.reference_cut,
+                "accuracy": stage.accuracy,
+                "raw_accuracy": stage.raw,
+                "side_b": _b64(np.packbits(stage.side_b_mask(node_order))),
+            }
+            for stage in item.stage_results
+        ]
         iterations.append(
             {
                 "iteration_index": item.iteration_index,
                 "seed": item.seed,
                 "accuracy": item.accuracy,
                 "run_time": item.run_time,
-                "colors": _b64(colors.astype(np.uint8)),
+                "colors": _b64(item.color_array(node_order).astype(np.uint8)),
                 "stages": stages,
             }
         )
@@ -178,26 +185,25 @@ def solve_result_to_dict(result: SolveResult) -> Dict:
     }
 
 
-def _node_array(graph: Graph) -> np.ndarray:
-    """The graph's nodes as a 1-D object array (tuple labels stay elements)."""
-    nodes = np.empty(graph.num_nodes, dtype=object)
-    for position, node in enumerate(graph.nodes):
-        nodes[position] = node
-    return nodes
+def _colors(text: Any, num_nodes: int, num_colors: int) -> np.ndarray:
+    colors = np.frombuffer(_unb64(text, "iteration colors"), dtype=np.uint8)
+    if colors.shape[0] != num_nodes:
+        raise AnalysisError(f"iteration colors hold {colors.shape[0]} values, expected {num_nodes}")
+    if num_nodes and int(colors.max()) >= num_colors:
+        raise AnalysisError(f"stored color {int(colors.max())} outside [0, {num_colors})")
+    return colors
 
 
-def _partition(nodes: np.ndarray, text: Any) -> Bipartition:
-    num = nodes.shape[0]
+def _side_b(text: Any, num_nodes: int) -> np.ndarray:
     raw = _unb64(text, "stage side_b bitmap")
-    if len(raw) != (num + 7) // 8:
-        raise AnalysisError(f"stage side_b bitmap holds {len(raw)} bytes, expected {(num + 7) // 8}")
+    if len(raw) != (num_nodes + 7) // 8:
+        raise AnalysisError(
+            f"stage side_b bitmap holds {len(raw)} bytes, expected {(num_nodes + 7) // 8}"
+        )
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if bits[num:].any():
+    if bits[num_nodes:].any():
         raise AnalysisError("stage side_b bitmap sets bits past the last node")
-    mask = bits[:num].astype(bool)
-    return Bipartition(
-        side_a=frozenset(nodes[~mask].tolist()), side_b=frozenset(nodes[mask].tolist())
-    )
+    return bits[:num_nodes].view(bool)
 
 
 def solve_result_from_dict(payload: Dict, graph: Optional[Graph] = None) -> SolveResult:
@@ -206,6 +212,10 @@ def solve_result_from_dict(payload: Dict, graph: Optional[Graph] = None) -> Solv
     ``graph`` (optional) is the graph the caller already holds for this
     result — a job's graph from the process memo.  It is reused instead of
     rebuilding the payload's graph, after checking its node and edge counts.
+
+    Every member is validated here, as whole-array checks; the results then
+    hold the decoded arrays as they are, and build their label-keyed
+    ``coloring`` and ``partition`` objects only if those are read.
     """
     if not isinstance(payload, dict) or "iterations" not in payload or "graph" not in payload:
         raise AnalysisError("malformed solve-result payload")
@@ -219,31 +229,31 @@ def solve_result_from_dict(payload: Dict, graph: Optional[Graph] = None) -> Solv
         )
     graph = _graph_from_dict(payload["graph"], graph)
     num_colors = int(payload["num_colors"])
-    nodes = _node_array(graph)
+    if not 0 < num_colors <= MAX_COLORS:
+        raise AnalysisError(f"stored num_colors {num_colors} outside 1..{MAX_COLORS}")
+    nodes = graph.nodes
+    num_nodes = len(nodes)
     iterations: List[IterationResult] = []
     for item in payload["iterations"]:
-        colors = np.frombuffer(_unb64(item["colors"], "iteration colors"), dtype=np.uint8)
-        try:
-            coloring = Coloring.from_array(graph, colors, num_colors)
-        except ColoringError as exc:
-            raise AnalysisError(f"invalid stored coloring: {exc}") from exc
-        stages: List[StageResult] = []
-        for stage in item.get("stages", []):
-            stages.append(
-                StageResult(
-                    stage_index=int(stage["stage_index"]),
-                    partition=_partition(nodes, stage["side_b"]),
-                    cut_value=int(stage["cut_value"]),
-                    reference_cut=int(stage["reference_cut"]),
-                    accuracy=float(stage["accuracy"]),
-                    raw_accuracy=float(stage["raw_accuracy"]),
-                )
+        stages = [
+            StageResult.from_side_b(
+                stage_index=int(stage["stage_index"]),
+                side_b=_side_b(stage["side_b"], num_nodes),
+                nodes=nodes,
+                cut_value=int(stage["cut_value"]),
+                reference_cut=int(stage["reference_cut"]),
+                accuracy=float(stage["accuracy"]),
+                raw_accuracy=float(stage["raw_accuracy"]),
             )
+            for stage in item.get("stages", [])
+        ]
         iterations.append(
-            IterationResult(
+            IterationResult.from_colors(
                 iteration_index=int(item["iteration_index"]),
                 seed=int(item["seed"]),
-                coloring=coloring,
+                colors=_colors(item["colors"], num_nodes, num_colors),
+                nodes=nodes,
+                num_colors=num_colors,
                 accuracy=float(item["accuracy"]),
                 stage_results=stages,
                 run_time=float(item.get("run_time", 0.0)),

@@ -10,6 +10,7 @@ from repro.core.metrics import (
     hamming_distance,
     maxcut_accuracy,
     min_hamming_distance,
+    pairwise_color_distances,
     pairwise_hamming_distances,
     stage_correlation,
     success_probability,
@@ -34,6 +35,7 @@ __all__ = [
     "maxcut_accuracy",
     "hamming_distance",
     "min_hamming_distance",
+    "pairwise_color_distances",
     "pairwise_hamming_distances",
     "accuracy_statistics",
     "stage_correlation",

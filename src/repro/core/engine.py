@@ -95,6 +95,9 @@ def run_batch(
         group_values = group_values + bits * (2 ** (stage_index - 1))
 
     accuracies = machine._batch_coloring_accuracies(group_values)
+    # Colors stay one small-integer row per replica (uint8 up to 256 colors);
+    # results build their Coloring only on first access.
+    colors = group_values.astype(np.min_scalar_type(config.num_colors - 1))
     results: List[IterationResult] = []
     for replica in range(num_replicas):
         stage_results = stage_records[replica]
@@ -103,10 +106,12 @@ def run_batch(
             stage_results[-1].final_phases = np.array(phases[replica], dtype=float)
         seed = seeds[replica]
         results.append(
-            IterationResult(
+            IterationResult.from_colors(
                 iteration_index=replica,
                 seed=int(seed) if seed is not None else -1,
-                coloring=machine._decode_coloring(group_values[replica]),
+                colors=colors[replica],
+                nodes=machine._nodes,
+                num_colors=config.num_colors,
                 accuracy=accuracies[replica],
                 stage_results=stage_results,
                 run_time=config.total_run_time,

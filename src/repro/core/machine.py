@@ -38,9 +38,7 @@ from repro.core.engine import BatchedEngine, run_batch
 from repro.core.mapping import ProblemMapping, identity_mapping
 from repro.core.results import IterationResult, SolveResult, StageResult
 from repro.core.stages import StageExecutor
-from repro.graphs.coloring import Coloring
 from repro.graphs.graph import Graph
-from repro.graphs.partition import Bipartition
 from repro.graphs.properties import is_kings_graph_shape
 from repro.ising.maxcut import kings_graph_reference_cut
 from repro.rng import ReplicaRNG, iteration_seeds, make_rng
@@ -252,9 +250,11 @@ class MSROPM:
         The per-edge gating and cut masks are evaluated once over the whole
         ``(R, E)`` table; stage 1 is normalized by the machine's stage-1
         reference cut, later stages by each replica's count of conducting
-        (same-group) edges.
+        (same-group) edges.  Each record holds its replica's row of ``bits``
+        as its side B (no per-node work here).
         """
         num_replicas = bits.shape[0]
+        sides_b = bits.astype(bool)
         edge_index = self._edge_index
         if edge_index.size:
             active = group_values[:, edge_index[:, 0]] == group_values[:, edge_index[:, 1]]
@@ -273,13 +273,11 @@ class MSROPM:
             else:
                 reference = max(1, int(active_counts[replica]))
             raw = cut_value / reference if reference > 0 else 1.0
-            row = bits[replica]
-            side_a = frozenset(node for node, bit in zip(nodes, row) if bit == 0)
-            side_b = frozenset(node for node, bit in zip(nodes, row) if bit == 1)
             results.append(
-                StageResult(
+                StageResult.from_side_b(
                     stage_index=stage_index,
-                    partition=Bipartition(side_a=side_a, side_b=side_b),
+                    side_b=sides_b[replica],
+                    nodes=nodes,
                     cut_value=cut_value,
                     reference_cut=int(reference),
                     accuracy=float(min(1.0, raw)),
@@ -305,10 +303,6 @@ class MSROPM:
             group_values[:, edge_index[:, 0]] == group_values[:, edge_index[:, 1]], axis=1
         )
         return [1.0 - int(count) / num_edges for count in conflicts]
-
-    def _decode_coloring(self, group_values: np.ndarray) -> Coloring:
-        """Convert the accumulated phase-grid indices into a coloring."""
-        return Coloring.from_array(self.graph, group_values, self.config.num_colors)
 
     # ------------------------------------------------------------------
     def estimated_power(self, power_model: Optional[PowerModel] = None) -> float:

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -40,12 +40,60 @@ def maxcut_accuracy(graph: Graph, partition: Bipartition, reference_cut: Optiona
     return min(1.0, achieved / reference_cut)
 
 
+def pairwise_color_distances(
+    colors: np.ndarray, num_colors: int, label_invariant: bool = False
+) -> np.ndarray:
+    """Normalized Hamming distances between all row pairs of a color matrix.
+
+    ``colors`` is ``(R, N)``: one solution per row, columns in a shared node
+    order.  Pairs come in :func:`itertools.combinations` order.  Each
+    distance is a count of disagreeing nodes divided by ``N``; with
+    ``label_invariant`` the count is minimized over every renaming of the
+    second row's palette ``[0, num_colors)`` (at most 6 colors), read off
+    the pair's ``K x K`` co-occurrence table.
+    """
+    colors = np.asarray(colors)
+    num_rows, num_nodes = colors.shape
+    if num_nodes == 0:
+        raise AnalysisError("node list must not be empty")
+    if num_rows < 2:
+        return np.zeros(0, dtype=float)
+    if label_invariant:
+        num_colors = max(num_colors, int(colors.max()) + 1)
+        if num_colors > 6:
+            raise AnalysisError("label-invariant Hamming distance supports at most 6 colors")
+        # A renaming sends the second row's color j to permutation[j]; it
+        # agrees on table[pair, permutation[j], j] nodes.
+        permutations = np.array(list(itertools.permutations(range(num_colors))))
+        columns = np.arange(num_colors)
+        cells_per_pair = num_colors * num_colors
+    disagreements = []
+    for row in range(num_rows - 1):
+        rest = colors[row + 1:]
+        if not label_invariant:
+            disagreements.append(np.count_nonzero(rest != colors[row], axis=1))
+            continue
+        # table[pair, i, j]: nodes where this row has color i and the pair's
+        # other row has color j.
+        offsets = np.arange(len(rest))[:, None] * cells_per_pair
+        cells = colors[row].astype(np.int64) * num_colors + rest + offsets
+        table = np.bincount(cells.ravel(), minlength=len(rest) * cells_per_pair).reshape(
+            len(rest), num_colors, num_colors
+        )
+        agreements = table[:, permutations, columns].sum(axis=2).max(axis=1)
+        disagreements.append(num_nodes - agreements)
+    return np.concatenate(disagreements) / num_nodes
+
+
+def _color_rows(colorings: Sequence[Coloring], nodes: Sequence[Node]) -> np.ndarray:
+    return np.array([[coloring.color_of(node) for node in nodes] for coloring in colorings])
+
+
 def hamming_distance(first: Coloring, second: Coloring, nodes: Sequence[Node]) -> float:
     """Plain normalized Hamming distance over ``nodes`` (no label matching)."""
     if not nodes:
         raise AnalysisError("node list must not be empty")
-    disagreements = sum(1 for node in nodes if first.color_of(node) != second.color_of(node))
-    return disagreements / len(nodes)
+    return float(pairwise_color_distances(_color_rows([first, second], nodes), 1)[0])
 
 
 def min_hamming_distance(first: Coloring, second: Coloring, nodes: Sequence[Node]) -> float:
@@ -59,18 +107,8 @@ def min_hamming_distance(first: Coloring, second: Coloring, nodes: Sequence[Node
     if not nodes:
         raise AnalysisError("node list must not be empty")
     num_colors = max(first.num_colors, second.num_colors)
-    if num_colors > 6:
-        raise AnalysisError("label-invariant Hamming distance supports at most 6 colors")
-    first_colors = np.array([first.color_of(node) for node in nodes])
-    second_colors = np.array([second.color_of(node) for node in nodes])
-    best = 1.0
-    for permutation in itertools.permutations(range(num_colors)):
-        mapped = np.array([permutation[color] for color in second_colors])
-        distance = float(np.mean(first_colors != mapped))
-        best = min(best, distance)
-        if best == 0.0:
-            break
-    return best
+    rows = _color_rows([first, second], nodes)
+    return float(pairwise_color_distances(rows, num_colors, label_invariant=True)[0])
 
 
 def pairwise_hamming_distances(
@@ -82,17 +120,15 @@ def pairwise_hamming_distances(
 
     The paper histogramms the raw (label-sensitive) distances, which is the
     default here; pass ``label_invariant=True`` for the permutation-minimized
-    variant.
+    variant.  The distances are computed on the solutions' color matrix
+    (:func:`pairwise_color_distances`).
     """
     if len(colorings) < 2:
         return np.zeros(0, dtype=float)
-    distances: List[float] = []
-    for a, b in itertools.combinations(range(len(colorings)), 2):
-        if label_invariant:
-            distances.append(min_hamming_distance(colorings[a], colorings[b], nodes))
-        else:
-            distances.append(hamming_distance(colorings[a], colorings[b], nodes))
-    return np.array(distances, dtype=float)
+    num_colors = max(coloring.num_colors for coloring in colorings)
+    return pairwise_color_distances(
+        _color_rows(colorings, nodes), num_colors, label_invariant=label_invariant
+    )
 
 
 def accuracy_statistics(accuracies: Sequence[float]) -> Dict[str, float]:

@@ -6,25 +6,39 @@ phases) and a final coloring.  The containers here keep everything the
 analysis layer and the paper's figures need: per-iteration accuracies for
 Fig. 5(a)/(b), the solutions themselves for the Hamming histograms of
 Fig. 5(c), and the best solution for Table 1.
+
+The solutions are held in array form: a run's colors as one integer row and
+each stage's side B as one bool row, both in the graph's node order (the
+solver's replica rows, or the result codec's decoded arrays, as they are).
+Only :attr:`IterationResult.coloring` and :attr:`StageResult.partition`
+build label-keyed objects, once each, on first access; the aggregates here
+(accuracies, :meth:`SolveResult.color_matrix`, the Hamming distances) and
+the codec read the arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, ColoringError
 from repro.graphs.coloring import Coloring
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, Node
 from repro.graphs.partition import Bipartition
-from repro.core.metrics import accuracy_statistics, pairwise_hamming_distances, stage_correlation
+from repro.core.metrics import accuracy_statistics, pairwise_color_distances, stage_correlation
 
 
-@dataclass
 class StageResult:
     """Outcome of one binary (max-cut) stage of a run.
+
+    The read-out is held as an array: :meth:`from_side_b` takes side B as a
+    bool row aligned with a node-label sequence (the solver's replica rows,
+    a decoded bitmap), and the label-keyed :attr:`partition` is built from
+    it on first access.  The plain constructor takes a ready
+    :class:`Bipartition` instead.
 
     Attributes
     ----------
@@ -51,23 +65,88 @@ class StageResult:
         machine's node order).
     """
 
-    stage_index: int
-    partition: Bipartition
-    cut_value: int
-    reference_cut: int
-    accuracy: float
-    raw_accuracy: Optional[float] = None
-    final_phases: Optional[np.ndarray] = None
+    def __init__(
+        self,
+        stage_index: int,
+        partition: Optional[Bipartition],
+        cut_value: int,
+        reference_cut: int,
+        accuracy: float,
+        raw_accuracy: Optional[float] = None,
+        final_phases: Optional[np.ndarray] = None,
+    ) -> None:
+        self.stage_index = stage_index
+        self._partition = partition
+        self._side_b: Optional[np.ndarray] = None
+        self._nodes: Optional[Sequence[Node]] = None
+        self.cut_value = cut_value
+        self.reference_cut = reference_cut
+        self.accuracy = accuracy
+        self.raw_accuracy = raw_accuracy
+        self.final_phases = final_phases
+
+    @classmethod
+    def from_side_b(
+        cls,
+        stage_index: int,
+        side_b: np.ndarray,
+        nodes: Sequence[Node],
+        cut_value: int,
+        reference_cut: int,
+        accuracy: float,
+        raw_accuracy: Optional[float] = None,
+    ) -> "StageResult":
+        """A stage whose side B is the bool row ``side_b`` over ``nodes``.
+
+        ``nodes`` is shared, not copied: every stage of a solve holds the one
+        label list its rows are aligned with.
+        """
+        stage = cls(stage_index, None, cut_value, reference_cut, accuracy, raw_accuracy)
+        stage._side_b = side_b
+        stage._nodes = nodes
+        return stage
+
+    @property
+    def partition(self) -> Bipartition:
+        """The read-out as a label-keyed :class:`Bipartition` (built once, on demand)."""
+        if self._partition is None:
+            mask = self._side_b.tolist()
+            self._partition = Bipartition(
+                side_a=frozenset(compress(self._nodes, [not bit for bit in mask])),
+                side_b=frozenset(compress(self._nodes, mask)),
+            )
+        return self._partition
+
+    def side_b_mask(self, nodes: Sequence[Node]) -> np.ndarray:
+        """Side B as a bool array aligned with ``nodes``.
+
+        The stored row itself when it is aligned with ``nodes`` (no
+        per-node work); otherwise a membership walk over the partition.
+        """
+        if self._side_b is not None and (self._nodes is nodes or self._nodes == nodes):
+            return self._side_b
+        side_b = self.partition.side_b
+        return np.fromiter(map(side_b.__contains__, nodes), dtype=bool, count=len(nodes))
 
     @property
     def raw(self) -> float:
         """The unclipped accuracy ratio (falls back to the clipped metric)."""
         return self.accuracy if self.raw_accuracy is None else self.raw_accuracy
 
+    def __repr__(self) -> str:
+        return (
+            f"StageResult(stage_index={self.stage_index}, cut_value={self.cut_value}, "
+            f"reference_cut={self.reference_cut}, accuracy={self.accuracy!r})"
+        )
 
-@dataclass
+
 class IterationResult:
     """Outcome of one complete MSROPM run (all stages).
+
+    The final coloring is held as an integer array: :meth:`from_colors`
+    takes one row of colors aligned with a node-label sequence, and the
+    label-keyed :attr:`coloring` is built from it on first access.  The
+    plain constructor takes a ready :class:`Coloring` instead.
 
     Attributes
     ----------
@@ -83,17 +162,80 @@ class IterationResult:
         Per-stage records, in stage order.
     run_time:
         Modeled wall-clock of the run in seconds (60 ns for 4-coloring).
+    trajectory:
+        Full phase trajectory of the run (populated only when the machine is
+        asked to collect it, e.g. for the Fig. 3 waveform reconstruction).
     """
 
-    iteration_index: int
-    seed: int
-    coloring: Coloring
-    accuracy: float
-    stage_results: List[StageResult] = field(default_factory=list)
-    run_time: float = 0.0
-    #: Full phase trajectory of the run (populated only when the machine is
-    #: asked to collect it, e.g. for the Fig. 3 waveform reconstruction).
-    trajectory: Optional[object] = None
+    def __init__(
+        self,
+        iteration_index: int,
+        seed: int,
+        coloring: Optional[Coloring],
+        accuracy: float,
+        stage_results: Optional[List[StageResult]] = None,
+        run_time: float = 0.0,
+        trajectory: Optional[object] = None,
+    ) -> None:
+        self.iteration_index = iteration_index
+        self.seed = seed
+        self._coloring = coloring
+        self._colors: Optional[np.ndarray] = None
+        self._nodes: Optional[Sequence[Node]] = None
+        self._num_colors = 0
+        self.accuracy = accuracy
+        self.stage_results: List[StageResult] = [] if stage_results is None else stage_results
+        self.run_time = run_time
+        self.trajectory = trajectory
+
+    @classmethod
+    def from_colors(
+        cls,
+        iteration_index: int,
+        seed: int,
+        colors: np.ndarray,
+        nodes: Sequence[Node],
+        num_colors: int,
+        accuracy: float,
+        stage_results: Optional[List[StageResult]] = None,
+        run_time: float = 0.0,
+        trajectory: Optional[object] = None,
+    ) -> "IterationResult":
+        """A run whose final colors are the integer row ``colors`` over ``nodes``.
+
+        The colors must already lie in ``[0, num_colors)`` (the solver's
+        decode and the result codec guarantee it); ``nodes`` is shared, not
+        copied.
+        """
+        item = cls(iteration_index, seed, None, accuracy, stage_results, run_time, trajectory)
+        item._colors = colors
+        item._nodes = nodes
+        item._num_colors = num_colors
+        return item
+
+    @property
+    def coloring(self) -> Coloring:
+        """The final coloring as a label-keyed :class:`Coloring` (built once, on demand)."""
+        if self._coloring is None:
+            self._coloring = Coloring(
+                assignment=dict(zip(self._nodes, self._colors.tolist())),
+                num_colors=self._num_colors,
+            )
+        return self._coloring
+
+    def color_array(self, nodes: Sequence[Node]) -> np.ndarray:
+        """The final colors as an integer array aligned with ``nodes``.
+
+        The stored row itself when it is aligned with ``nodes`` (no
+        per-node work); otherwise a lookup through :attr:`coloring`.
+        """
+        if self._colors is not None and (self._nodes is nodes or self._nodes == nodes):
+            return self._colors
+        assignment = self.coloring.assignment
+        try:
+            return np.fromiter(map(assignment.__getitem__, nodes), dtype=np.int64, count=len(nodes))
+        except KeyError:
+            raise ColoringError("coloring does not cover every node") from None
 
     @property
     def stage1_accuracy(self) -> float:
@@ -117,6 +259,12 @@ class IterationResult:
     def is_exact(self) -> bool:
         """``True`` when the run found a proper coloring (accuracy 1.0)."""
         return self.accuracy >= 1.0 - 1e-12
+
+    def __repr__(self) -> str:
+        return (
+            f"IterationResult(iteration_index={self.iteration_index}, seed={self.seed}, "
+            f"accuracy={self.accuracy!r}, stages={len(self.stage_results)})"
+        )
 
 
 @dataclass
@@ -175,8 +323,27 @@ class SolveResult:
 
     @property
     def colorings(self) -> List[Coloring]:
-        """Per-iteration decoded colorings."""
+        """Per-iteration decoded colorings (builds each label-keyed coloring)."""
         return [item.coloring for item in self.iterations]
+
+    @property
+    def node_order(self) -> List[Node]:
+        """The graph's node labels in order.
+
+        When the iterations' rows are aligned with the graph (a solve's, or
+        a decoded payload's), this is the very list object they share, so
+        :meth:`IterationResult.color_array` and
+        :meth:`StageResult.side_b_mask` recognise it by identity.
+        """
+        nodes = self.graph.nodes
+        shared = self.iterations[0]._nodes
+        return shared if shared is not None and shared == nodes else nodes
+
+    def color_matrix(self) -> np.ndarray:
+        """The ``(R, N)`` matrix of final colors, rows in iteration order and
+        columns in the graph's node order."""
+        nodes = self.node_order
+        return np.stack([item.color_array(nodes) for item in self.iterations])
 
     @property
     def num_exact_solutions(self) -> int:
@@ -200,7 +367,9 @@ class SolveResult:
 
     def hamming_distances(self, label_invariant: bool = False) -> np.ndarray:
         """Pairwise Hamming distances between the iteration solutions (Fig. 5(c))."""
-        return pairwise_hamming_distances(self.colorings, self.graph.nodes, label_invariant=label_invariant)
+        return pairwise_color_distances(
+            self.color_matrix(), self.num_colors, label_invariant=label_invariant
+        )
 
     def average_run_time(self) -> float:
         """Mean modeled run time per iteration (seconds)."""

@@ -47,6 +47,7 @@ class Graph:
     ) -> None:
         self._adjacency: Dict[Node, Set[Node]] = {}
         self._order: List[Node] = []
+        self._num_edges = 0
         self.name = name
         if nodes is not None:
             for node in nodes:
@@ -74,8 +75,10 @@ class Graph:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
         self.add_node(u)
         self.add_node(v)
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
+        if v not in self._adjacency[u]:
+            self._adjacency[u].add(v)
+            self._adjacency[v].add(u)
+            self._num_edges += 1
 
     def add_edges(self, edges: Iterable[Edge]) -> None:
         """Add every edge in ``edges``."""
@@ -88,13 +91,15 @@ class Graph:
             raise GraphError(f"edge ({u!r}, {v!r}) not in graph")
         self._adjacency[u].discard(v)
         self._adjacency[v].discard(u)
+        self._num_edges -= 1
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` and every incident edge."""
         if node not in self._adjacency:
             raise GraphError(f"node {node!r} not in graph")
-        for neighbor in list(self._adjacency[node]):
+        for neighbor in self._adjacency[node]:
             self._adjacency[neighbor].discard(node)
+        self._num_edges -= len(self._adjacency[node])
         del self._adjacency[node]
         self._order.remove(node)
 
@@ -113,8 +118,8 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        """Number of undirected edges."""
-        return sum(len(neigh) for neigh in self._adjacency.values()) // 2
+        """Number of undirected edges (a counter the mutators keep, O(1))."""
+        return self._num_edges
 
     def edges(self) -> List[Edge]:
         """Return every edge exactly once, ordered by node index."""

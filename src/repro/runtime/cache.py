@@ -46,7 +46,7 @@ import re
 import tarfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import get_metrics
@@ -143,14 +143,16 @@ class ResultCache:
         """The entry path for a job hash (two-level hash sharding)."""
         return self.root / job_hash[:2] / f"{job_hash}.json"
 
-    def load(self, job: Job) -> Optional[Any]:
-        """Return the cached, decoded result for ``job``, or ``None`` on miss.
+    def load(self, job: Job) -> Optional[Tuple[Any, Dict]]:
+        """Return ``(result, payload)`` for ``job``, or ``None`` on miss.
 
-        Unreadable, schema-mismatched and integrity-failed entries count as
-        misses by design: they will be overwritten by the recomputed result.
-        The job itself decodes and validates the stored payload, so a partial
-        or foreign entry under our key (``job.validate`` fails) also reads as
-        a miss.
+        ``payload`` is the stored payload and ``result`` the job's decoding
+        of it; keeping both lets a caller serve the payload without encoding
+        the result again.  Unreadable, schema-mismatched and integrity-failed
+        entries count as misses by design: they will be overwritten by the
+        recomputed result.  The job itself decodes and validates the stored
+        payload, so a partial or foreign entry under our key
+        (``job.validate`` fails) also reads as a miss.
         """
         if not job.cacheable:
             return None
@@ -185,7 +187,7 @@ class ResultCache:
             return None
         self.hits += 1
         get_metrics().inc("cache.hits")
-        return result
+        return result, envelope["result"]
 
     def load_envelope(self, job_hash: str) -> Optional[Dict]:
         """Return the raw, integrity-verified envelope stored under a hash.

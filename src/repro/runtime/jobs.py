@@ -288,8 +288,8 @@ class Job(ABC):
       format, so a result is identical whether it was computed inline, in a
       worker process, or read back from the cache,
     * :meth:`decode` turns a payload back into the rich result the caller
-      consumes; :meth:`encode` is its inverse (used to serve a decoded
-      result; the runner stores the payload :meth:`execute` produced and
+      consumes; :meth:`encode` is its inverse (the runner stores, memoizes
+      and serves the payload :meth:`execute` produced or the cache held, and
       never re-encodes),
     * :meth:`describe` is the job's full hashed identity; two jobs with equal
       descriptions are interchangeable and share one cache entry.

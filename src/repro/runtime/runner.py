@@ -48,7 +48,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError
 from repro.core.config import MSROPMConfig
@@ -107,6 +107,9 @@ class Ticket:
 
     ``source`` records where the result came from: ``computed`` (executed by
     this runner), ``memo`` (in-process dedup) or ``cache`` (disk hit).
+    ``payload`` is the job's persisted payload the result was decoded from
+    (the worker's output or the cache entry), kept so a fetch can ship it
+    without encoding the result again.
     ``coalesced`` counts the *extra* submissions that attached to this ticket
     while it was in flight.
     """
@@ -115,6 +118,7 @@ class Ticket:
     job: Job
     state: str = TICKET_PENDING
     result: Any = None
+    payload: Optional[Dict] = None
     error: Optional[str] = None
     source: str = "computed"
     coalesced: int = 0
@@ -185,7 +189,8 @@ class ExperimentRunner:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.replica_chunk = replica_chunk
         self.max_pending = max_pending
-        self._memo: Dict[str, Any] = {}
+        # job hash -> (decoded result, the payload it was decoded from)
+        self._memo: Dict[str, Tuple[Any, Dict]] = {}
         self.jobs_run = 0
         # --- submit/poll/fetch state (all guarded by _cond's lock) ---
         self._cond = threading.Condition()
@@ -314,7 +319,7 @@ class ExperimentRunner:
             for position, job in enumerate(jobs):
                 key = job.job_hash if job.cacheable else None
                 if key is not None and key in self._memo:
-                    resolved[position] = self._memo[key]
+                    resolved[position] = self._memo[key][0]
                     continue
                 if key is not None and key in pending_keys:
                     continue  # identical job already queued; share its result
@@ -322,7 +327,7 @@ class ExperimentRunner:
                     cached = self.cache.load(job)
                     if cached is not None:
                         self._memo[key] = cached
-                        resolved[position] = cached
+                        resolved[position] = cached[0]
                         continue
                 if key is not None:
                     pending_keys.add(key)
@@ -338,9 +343,9 @@ class ExperimentRunner:
         valid = self._validate_and_store(pending, fresh)
         with self._cond:
             self.jobs_run += len(fresh)
-            for job, result, ok in zip(pending, fresh, valid):
+            for job, result, payload, ok in zip(pending, fresh, fresh.payloads, valid):
                 if ok and job.cacheable:
-                    self._memo[job.job_hash] = result
+                    self._memo[job.job_hash] = (result, payload)
         rejected = [job for job, ok in zip(pending, valid) if not ok]
         if rejected:
             more = f" (and {len(rejected) - 1} more)" if len(rejected) > 1 else ""
@@ -354,7 +359,7 @@ class ExperimentRunner:
             if position in resolved:
                 continue
             if job.cacheable:
-                resolved[position] = self._memo[job.job_hash]
+                resolved[position] = self._memo[job.job_hash][0]
             else:
                 resolved[position] = next(next_uncacheable)
         return [resolved[position] for position in range(len(jobs))]
@@ -409,11 +414,13 @@ class ExperimentRunner:
                     return existing
                 # failed → fall through and re-enqueue a fresh attempt
             if key in self._memo:
+                result, payload = self._memo[key]
                 ticket = Ticket(
                     ticket_id=key,
                     job=job,
                     state=TICKET_DONE,
-                    result=self._memo[key],
+                    result=result,
+                    payload=payload,
                     source="memo",
                     sequence=next(self._ticket_seq),
                 )
@@ -431,7 +438,8 @@ class ExperimentRunner:
                         ticket_id=key,
                         job=job,
                         state=TICKET_DONE,
-                        result=cached,
+                        result=cached[0],
+                        payload=cached[1],
                         source="cache",
                         sequence=next(self._ticket_seq),
                     )
@@ -505,14 +513,15 @@ class ExperimentRunner:
                 continue
             valid = self._validate_and_store([ticket.job for ticket in batch], results)
             with self._cond:
-                for ticket, result, ok in zip(batch, results, valid):
+                for ticket, result, payload, ok in zip(batch, results, results.payloads, valid):
                     if not ok:
                         ticket.state = TICKET_FAILED
                         ticket.error = _invalid_result_message(ticket.job)
                     else:
                         if ticket.job.cacheable:
-                            self._memo[ticket.job.job_hash] = result
+                            self._memo[ticket.job.job_hash] = (result, payload)
                         ticket.result = result
+                        ticket.payload = payload
                         ticket.state = TICKET_DONE
                         ticket.source = "computed"
                     self.jobs_run += 1

@@ -134,8 +134,9 @@ def build_jobs(specs: Sequence[Dict[str, Any]]) -> List[Job]:
 
 
 def encode_ticket(ticket: Ticket, include_result: bool = False) -> Dict[str, Any]:
-    """A ticket's JSON form; results ship in the job's persisted payload form
-    (``job.encode`` — the exact bytes the cache stores)."""
+    """A ticket's JSON form; a result ships as the payload the ticket kept
+    (the worker's output or the cache entry: the exact bytes the cache
+    stores), never re-encoded."""
     payload: Dict[str, Any] = {
         "ticket_id": ticket.ticket_id,
         "state": ticket.state,
@@ -145,5 +146,5 @@ def encode_ticket(ticket: Ticket, include_result: bool = False) -> Dict[str, Any
     if ticket.error is not None:
         payload["error"] = ticket.error
     if include_result and ticket.state == TICKET_DONE:
-        payload["result"] = ticket.job.encode(ticket.result)
+        payload["result"] = ticket.payload
     return payload

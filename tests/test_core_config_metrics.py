@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.circuit import TimingPlan
 from repro.core import (
+    MSROPM,
     MSROPMConfig,
     IterationResult,
     SolveResult,
@@ -19,6 +22,7 @@ from repro.core import (
     hamming_distance,
     maxcut_accuracy,
     min_hamming_distance,
+    pairwise_color_distances,
     pairwise_hamming_distances,
     stage_correlation,
     success_probability,
@@ -26,6 +30,7 @@ from repro.core import (
 from repro.graphs import (
     Bipartition,
     Coloring,
+    Graph,
     balanced_halves,
     kings_graph,
     kings_graph_reference_coloring,
@@ -183,6 +188,80 @@ class TestMetrics:
         invariant = min_hamming_distance(a, b, graph.nodes)
         assert invariant <= plain + 1e-12
         assert min_hamming_distance(a, a, graph.nodes) == 0.0
+
+
+def _per_node_distance(first, second, nodes):
+    """The Hamming distance by its per-node definition."""
+    return sum(1 for node in nodes if first.color_of(node) != second.color_of(node)) / len(nodes)
+
+
+def _per_node_min_distance(first, second, nodes):
+    """The label-invariant distance by definition: the per-node count under
+    every renaming of the second coloring's palette."""
+    num_colors = max(first.num_colors, second.num_colors)
+    best = 1.0
+    for permutation in itertools.permutations(range(num_colors)):
+        count = sum(
+            1 for node in nodes if first.color_of(node) != permutation[second.color_of(node)]
+        )
+        best = min(best, count / len(nodes))
+    return best
+
+
+class TestHammingOverArrays:
+    """The matrix-based distances equal the per-node definition bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        num_colors=st.integers(1, 6),
+        num_nodes=st.integers(1, 30),
+        num_rows=st.integers(2, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distances_match_the_per_node_definition(self, seed, num_colors, num_nodes, num_rows):
+        rng = np.random.default_rng(seed)
+        nodes = [("n", index) for index in range(num_nodes)]
+        # Few distinct colors per row, so renamings often matter.
+        colorings = [
+            Coloring.from_array(
+                Graph(nodes=nodes),
+                rng.integers(0, rng.integers(1, num_colors + 1), size=num_nodes),
+                num_colors,
+            )
+            for _ in range(num_rows)
+        ]
+        pairs = list(itertools.combinations(colorings, 2))
+        plain = pairwise_hamming_distances(colorings, nodes)
+        invariant = pairwise_hamming_distances(colorings, nodes, label_invariant=True)
+        assert plain.tolist() == [_per_node_distance(a, b, nodes) for a, b in pairs]
+        assert invariant.tolist() == [_per_node_min_distance(a, b, nodes) for a, b in pairs]
+        first, second = colorings[:2]
+        assert hamming_distance(first, second, nodes) == _per_node_distance(first, second, nodes)
+        assert min_hamming_distance(first, second, nodes) == _per_node_min_distance(
+            first, second, nodes
+        )
+        rows = np.array([[c.color_of(node) for node in nodes] for c in colorings], dtype=np.uint8)
+        assert pairwise_color_distances(rows, num_colors).tolist() == plain.tolist()
+        assert pairwise_color_distances(rows, num_colors, label_invariant=True).tolist() == (
+            invariant.tolist()
+        )
+
+    def test_solve_result_distances_use_the_color_matrix(self):
+        graph = kings_graph(4, 4)
+        result = MSROPM(graph, MSROPMConfig(seed=4)).solve(iterations=4)
+        assert result.color_matrix().tolist() == [
+            [item.coloring.color_of(node) for node in graph.nodes] for item in result.iterations
+        ]
+        for invariant in (False, True):
+            assert result.hamming_distances(invariant).tolist() == pairwise_hamming_distances(
+                result.colorings, graph.nodes, label_invariant=invariant
+            ).tolist()
+
+    def test_label_invariant_color_limit(self):
+        rows = np.zeros((2, 3), dtype=np.uint8)
+        with pytest.raises(AnalysisError, match="at most 6 colors"):
+            pairwise_color_distances(rows, 8, label_invariant=True)
+        assert pairwise_color_distances(rows, 8).tolist() == [0.0]
 
 
 def _iteration(index, accuracy, stage1_accuracy, graph):

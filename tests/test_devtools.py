@@ -570,20 +570,42 @@ class TestReachability:
 # The repo itself and the CLI entry points.
 
 
+@pytest.fixture()
+def clean_tree(tmp_path: Path) -> Path:
+    """A small tree that lints to zero findings under every rule.
+
+    It holds the schema manifest with its fingerprinted sources and a
+    ``repro/cli.py`` that imports each of them, so the project rules have
+    something to check; the entry-point tests render over it instead of
+    linting the whole repo again.
+    """
+    root = _copy_schema_sources(tmp_path)
+    package = root / "src" / "repro"
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    modules = [
+        relpath[len("src/"):-len(".py")].replace("/", ".")
+        for relpath in schema.SOURCES.values()
+    ]
+    (package / "cli.py").write_text(
+        "".join(f"import {module}\n" for module in modules), encoding="utf-8"
+    )
+    return root
+
+
 class TestRepoIsClean:
     def test_repo_lints_to_zero_findings(self):
         assert run_lint(REPO_ROOT) == []
 
-    def test_cli_dev_lint(self, capsys):
+    def test_cli_dev_lint(self, capsys, clean_tree):
         from repro.cli import main
 
-        assert main(["dev", "lint", "--root", str(REPO_ROOT)]) == 0
+        assert main(["dev", "lint", "--root", str(clean_tree)]) == 0
         assert "0 findings" in capsys.readouterr().out
 
-    def test_cli_dev_lint_json(self, capsys):
+    def test_cli_dev_lint_json(self, capsys, clean_tree):
         from repro.cli import main
 
-        assert main(["dev", "lint", "--format", "json", "--root", str(REPO_ROOT)]) == 0
+        assert main(["dev", "lint", "--format", "json", "--root", str(clean_tree)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {
             "schema": "repro-lint/findings",
@@ -592,13 +614,20 @@ class TestRepoIsClean:
             "findings": [],
         }
 
+    def test_cli_dev_lint_reports_findings(self, capsys, clean_tree):
+        from repro.cli import main
+
+        (clean_tree / "src" / "repro" / "orphan.py").write_text("X = 1\n", encoding="utf-8")
+        assert main(["dev", "lint", "--root", str(clean_tree)]) == 1
+        assert "[unreachable-module]" in capsys.readouterr().out
+
     def test_cli_regen_check(self, capsys):
         from repro.cli import main
 
         assert main(["dev", "regen-manifest", "--check", "--root", str(REPO_ROOT)]) == 0
         assert "current" in capsys.readouterr().out
 
-    def test_module_entry_point(self, capsys):
+    def test_module_entry_point(self, capsys, clean_tree):
         from repro.devtools.__main__ import main as devtools_main
 
-        assert devtools_main(["--root", str(REPO_ROOT), "lint"]) == 0
+        assert devtools_main(["--root", str(clean_tree), "lint"]) == 0

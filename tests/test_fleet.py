@@ -546,7 +546,7 @@ class TestArtifactStore:
         path.write_text(json.dumps(envelope), encoding="utf-8")
         removed = store.gc(referenced={jobs[2].job_hash})
         assert removed == {"stale": 1, "corrupt": 1, "unreferenced": 0, "kept": 1}
-        assert store.load(jobs[2]) == {"sum": 3}
+        assert store.load(jobs[2])[0] == {"sum": 3}
 
     def test_gc_drops_unreferenced_results_but_not_payloads(self, tmp_path):
         store, jobs = self._store_with_jobs(tmp_path / "cache", count=2)
@@ -554,7 +554,7 @@ class TestArtifactStore:
         store.store_payload("reference", key, {"marker": 1})
         removed = store.gc(referenced={jobs[0].job_hash})
         assert removed["unreferenced"] == 1
-        assert store.load(jobs[0]) == {"sum": 1}
+        assert store.load(jobs[0])[0] == {"sum": 1}
         assert store.load(jobs[1]) is None  # swept
         # Payload namespaces are never reference-GC'd.
         assert store.load_payload("reference", key) == {"marker": 1}
@@ -572,7 +572,7 @@ class TestArtifactStore:
         counters = other.import_bundle(bundle)
         assert counters == {"imported": 3, "existing": 0, "rejected": 0}
         for job in jobs:
-            assert other.load(job) == job.execute()
+            assert other.load(job)[0] == job.execute()
         assert other.load_payload("reference", key) == {"marker": 2}
         # Re-importing is a no-op: entries are content-addressed.
         assert other.import_bundle(bundle) == {
@@ -711,7 +711,7 @@ class TestFleetCLI:
         other_dir = tmp_path / "other"
         assert main(["cache", "import", str(bundle), "--cache-dir", str(other_dir)]) == 0
         assert "1 imported" in capsys.readouterr().out
-        assert ResultCache(other_dir).load(job) == {"sum": 8}
+        assert ResultCache(other_dir).load(job)[0] == {"sum": 8}
 
     def test_scenarios_output_byte_identical_local_vs_spool(self, tmp_path, capsys):
         from repro.cli import main

@@ -75,6 +75,60 @@ class TestMutation:
             Graph().remove_node(5)
 
 
+def _counted_edges(graph: Graph) -> int:
+    """The edge count by definition: half the adjacency degree sum."""
+    return sum(graph.degrees().values()) // 2
+
+
+class TestEdgeCounter:
+    """``num_edges`` is a counter the mutators keep; it must match the adjacency."""
+
+    def test_duplicate_adds_count_once(self):
+        graph = Graph(edges=[(1, 2), (2, 1), (1, 2)])
+        graph.add_edge(2, 1)
+        graph.add_edges([(1, 2), (2, 3), (3, 2)])
+        assert graph.num_edges == _counted_edges(graph) == 2
+
+    def test_removals_keep_the_count(self):
+        graph = kings_graph(4, 4)
+        graph.remove_edge((0, 0), (1, 1))
+        assert graph.num_edges == _counted_edges(graph) == 41
+        with pytest.raises(GraphError):
+            graph.remove_edge((0, 0), (1, 1))
+        graph.remove_node((1, 1))  # interior: seven edges left after the removal
+        assert graph.num_edges == _counted_edges(graph) == 34
+        graph.add_edge((0, 0), (1, 0))  # already present
+        assert graph.num_edges == 34
+
+    def test_derived_graphs_count_their_own_edges(self):
+        graph = kings_graph(3, 3)
+        sub = graph.subgraph([(0, 0), (0, 1), (1, 0), (2, 2)])
+        assert sub.num_edges == _counted_edges(sub) == 3
+        clone = graph.copy()
+        clone.remove_node((1, 1))
+        assert clone.num_edges == _counted_edges(clone) == 12
+        assert graph.num_edges == _counted_edges(graph) == 20
+        reduced = graph.without_edges([((0, 0), (0, 1))])
+        assert reduced.num_edges == _counted_edges(reduced) == 19
+
+    def test_random_mutations_match_the_adjacency(self):
+        rng = np.random.default_rng(3)
+        graph = Graph(nodes=range(12))
+        for _ in range(400):
+            u, v = (int(x) for x in rng.integers(0, 12, size=2))
+            if u == v:
+                continue
+            action = rng.integers(0, 3)
+            if action == 0:
+                graph.add_edge(u, v)
+            elif action == 1 and graph.has_edge(u, v):
+                graph.remove_edge(u, v)
+            elif action == 2 and graph.has_node(u) and rng.random() < 0.1:
+                graph.remove_node(u)
+                graph.add_node(u)
+            assert graph.num_edges == _counted_edges(graph)
+
+
 class TestQueries:
     def test_neighbors_and_degree(self):
         graph = Graph(edges=[(1, 2), (1, 3), (1, 4)])

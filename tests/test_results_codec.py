@@ -3,6 +3,11 @@
 * a property test: ``solve_result_to_dict``/``solve_result_from_dict`` round
   trips any result exactly — int, string and nested-tuple node labels, up to
   8 colors, iterations without stage records, isolated nodes;
+* a property test over payloads: decoding then encoding reproduces any
+  payload byte for byte (node counts that are not a multiple of 8, up to
+  ``MAX_COLORS`` colors), and the decoded results' lazily built ``coloring``
+  and ``partition`` equal the eagerly built objects;
+* a warm decode builds no ``Coloring`` and no ``Bipartition``;
 * malformed v5 payloads raise :class:`AnalysisError` and read as stale cache
   misses, and so does an entry in the previous (v4) layout;
 * the runner stores the payload the worker produced: a cold ``run_jobs`` (and
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.results_io import (
     FORMAT_VERSION,
+    MAX_COLORS,
     SCHEMA,
     solve_result_from_dict,
     solve_result_to_dict,
@@ -128,6 +134,99 @@ def test_round_trip_is_exact(result):
     assert solve_result_to_dict(reused) == payload
 
 
+@st.composite
+def payloads(draw):
+    """A solve-result payload over a random graph, built from eager objects."""
+    num_nodes = draw(st.integers(1, 40).filter(lambda n: n % 8))
+    labels = draw(st.sampled_from(["int", "tuple"]))
+    nodes = [index if labels == "int" else (index // 5, index % 5) for index in range(num_nodes)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)]
+    chosen = [pairs[k] for k in rng.permutation(len(pairs))[: draw(st.integers(0, 60))]]
+    graph = Graph(nodes=nodes, edges=[(nodes[i], nodes[j]) for i, j in chosen], name="g")
+    num_colors = draw(st.integers(1, MAX_COLORS))
+    iterations = []
+    for index in range(draw(st.integers(1, 3))):
+        stages = []
+        for stage_index in range(draw(st.integers(0, 3))):
+            side_b = rng.random(num_nodes) < 0.5
+            stages.append(
+                StageResult(
+                    stage_index=stage_index + 1,
+                    partition=Bipartition.from_sets(
+                        [node for node, bit in zip(nodes, side_b) if not bit],
+                        [node for node, bit in zip(nodes, side_b) if bit],
+                    ),
+                    cut_value=int(rng.integers(0, 50)),
+                    reference_cut=int(rng.integers(0, 50)),
+                    accuracy=float(rng.random()),
+                    raw_accuracy=float(rng.random() * 2),
+                )
+            )
+        iterations.append(
+            IterationResult(
+                iteration_index=index,
+                seed=int(rng.integers(-1, 2**31)),
+                coloring=Coloring.from_array(
+                    graph, rng.integers(0, num_colors, size=num_nodes), num_colors
+                ),
+                accuracy=float(rng.random()),
+                stage_results=stages,
+                run_time=float(rng.random()),
+            )
+        )
+    result = SolveResult(graph=graph, num_colors=num_colors, iterations=iterations)
+    return json.loads(json.dumps(solve_result_to_dict(result))), graph
+
+
+def _eager_partition(graph: Graph, text: str) -> Bipartition:
+    bits = np.unpackbits(np.frombuffer(base64.b64decode(text), dtype=np.uint8))
+    return Bipartition.from_sets(
+        [node for node, bit in zip(graph.nodes, bits) if not bit],
+        [node for node, bit in zip(graph.nodes, bits) if bit],
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payloads())
+def test_decode_encode_reproduces_the_payload(drawn):
+    payload, graph = drawn
+    text = json.dumps(payload)
+    for decoded in (solve_result_from_dict(payload), solve_result_from_dict(payload, graph)):
+        assert json.dumps(solve_result_to_dict(decoded)) == text
+        num_colors = payload["num_colors"]
+        for item, stored in zip(decoded.iterations, payload["iterations"]):
+            colors = np.frombuffer(base64.b64decode(stored["colors"]), dtype=np.uint8)
+            assert item.coloring == Coloring.from_array(graph, colors, num_colors)
+            assert item.coloring is item.coloring  # built once
+            for stage, stored_stage in zip(item.stage_results, stored["stages"]):
+                assert stage.partition == _eager_partition(graph, stored_stage["side_b"])
+                assert stage.partition is stage.partition
+        # Re-encoding after the objects were built still gives the same bytes.
+        assert json.dumps(solve_result_to_dict(decoded)) == text
+
+
+def test_solver_results_pack_their_rows_and_build_the_same_objects(fast_config):
+    job = _job(fast_config)
+    _, machine = build_machine(job.spec, job.config)
+    result = job.run()
+    payload = solve_result_to_dict(result)
+    graph = result.graph
+    group_values = np.zeros(graph.num_nodes, dtype=np.int64)
+    for item, stored in zip(result.iterations, payload["iterations"]):
+        colors = np.frombuffer(base64.b64decode(stored["colors"]), dtype=np.uint8)
+        assert item.coloring == Coloring.from_array(graph, colors, result.num_colors)
+        for stage, stored_stage in zip(item.stage_results, stored["stages"]):
+            assert stage.partition == _eager_partition(graph, stored_stage["side_b"])
+            assert stage.partition.covers(graph)
+        # The final colors are the stage bits, stage s weighted 2**(s-1).
+        group_values[:] = 0
+        for stage in item.stage_results:
+            group_values += stage.side_b_mask(graph.nodes) * 2 ** (stage.stage_index - 1)
+        assert item.color_array(graph.nodes).tolist() == group_values.tolist()
+    assert machine.graph is graph
+
+
 def test_payload_layout_is_compact():
     graph = Graph(nodes=[(0, 0), (0, 1), (1, 0)], edges=[((0, 0), (0, 1)), ((0, 1), (1, 0))])
     result = SolveResult(
@@ -177,6 +276,17 @@ def _wrong_length_bitmap(payload):
     stage["side_b"] = _b64(base64.b64decode(stage["side_b"]) + b"\x00")
 
 
+def _stray_bitmap_bits(payload):
+    stage = payload["iterations"][0]["stages"][0]
+    raw = bytearray(base64.b64decode(stage["side_b"]))
+    raw[-1] |= 1  # 9 nodes: the last byte's low 7 bits lie past the last node
+    stage["side_b"] = _b64(bytes(raw))
+
+
+def _bad_bitmap_base64(payload):
+    payload["iterations"][0]["stages"][0]["side_b"] = 7
+
+
 def _color_out_of_range(payload):
     nodes = len(payload["graph"]["nodes"])
     payload["iterations"][0]["colors"] = _b64(bytes([payload["num_colors"]]) * nodes)
@@ -194,6 +304,8 @@ def _missing_edge(payload):
 MALFORMATIONS = {
     "bad-base64": _bad_base64,
     "bitmap-length": _wrong_length_bitmap,
+    "bitmap-stray-bits": _stray_bitmap_bits,
+    "bitmap-not-base64": _bad_bitmap_base64,
     "color-out-of-range": _color_out_of_range,
     "node-count": _missing_node,
     "edge-count": _missing_edge,
@@ -335,6 +447,42 @@ def test_drained_ticket_never_encodes(fast_config, tmp_path, count_encodes):
     assert ticket.result is not None
     assert count_encodes == []
     assert ResultCache(tmp_path).path_for(job.job_hash).exists()
+
+
+# ----------------------------------------------------------------------
+# Laziness: decoding builds no label-keyed objects
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def count_objects(monkeypatch):
+    """Count ``Coloring`` and ``Bipartition`` constructions by class name."""
+    built = {"Coloring": 0, "Bipartition": 0}
+    for cls in (Coloring, Bipartition):
+        original = cls.__post_init__
+
+        def counting(self, _original=original, _name=cls.__name__):
+            built[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
+
+def test_warm_decode_builds_no_objects(fast_config, tmp_path, count_objects):
+    job = _job(fast_config)
+    cold = ExperimentRunner(workers=1, cache_dir=tmp_path).run_jobs([job])[0]
+    assert count_objects == {"Coloring": 0, "Bipartition": 0}  # nor does a cold solve
+    payload = solve_result_to_dict(cold)
+    decoded = _job(fast_config).decode(payload)
+    warm = ExperimentRunner(workers=1, cache_dir=tmp_path).run_jobs([_job(fast_config)])[0]
+    assert count_objects == {"Coloring": 0, "Bipartition": 0}
+    # Each object is built on first access, once.
+    for result in (decoded, warm):
+        for item in result.iterations:
+            assert item.coloring is item.coloring
+            assert item.stage_results[0].partition is item.stage_results[0].partition
+    assert count_objects == {"Coloring": 4, "Bipartition": 4}
+    assert warm.hamming_distances().tolist() == cold.hamming_distances().tolist()
+    assert count_objects == {"Coloring": 4, "Bipartition": 4}
 
 
 # ----------------------------------------------------------------------

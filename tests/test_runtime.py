@@ -195,9 +195,9 @@ class TestResultCache:
         result = job.run()
         assert cache.load(job) is None  # cold
         cache.store(job, job.encode(result))
-        loaded = cache.load(job)
-        assert loaded is not None
+        loaded, payload = cache.load(job)
         _assert_identical(result, loaded)
+        assert payload == job.encode(result)
         assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
 
     def test_corrupt_and_mismatched_entries_read_as_misses(self, fast_config, tmp_path):

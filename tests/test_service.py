@@ -466,6 +466,41 @@ class TestSolverServiceHandle:
             )
             assert index["tickets"][ticket_id]["client"] == "tester"
 
+    def test_fetches_ship_the_kept_payload_without_encoding(self, tmp_path, monkeypatch):
+        """Computed, memo and cache tickets all ship the stored payload as is."""
+        encodes = []
+        original = SolveJob.encode
+        monkeypatch.setattr(
+            SolveJob, "encode", lambda job, result: encodes.append(job) or original(job, result)
+        )
+        cache_dir = tmp_path / "cache"
+        spec = self._solve_spec(seed=3)
+
+        def fetch(service, runner):
+            status, payload, _ = service.handle(
+                "POST", "/v1/submit", self._submit_body(spec)
+            )
+            assert status == 200
+            ticket_id = payload["tickets"][0]["ticket_id"]
+            assert runner.wait([runner.poll(ticket_id)], timeout=120.0)
+            status, payload, _ = service.handle(
+                "GET", f"/v1/tickets/{ticket_id}?result=1", None
+            )
+            assert status == 200
+            stored = runner.cache.load_envelope(ticket_id)["result"]
+            assert json.dumps(payload["result"]) == json.dumps(stored)
+            return payload["source"]
+
+        with ExperimentRunner(workers=1, cache_dir=cache_dir) as runner:
+            assert fetch(self._service(tmp_path, runner), runner) == "computed"
+        with ExperimentRunner(workers=1, cache_dir=cache_dir) as runner:
+            assert fetch(self._service(tmp_path, runner), runner) == "cache"
+        with ExperimentRunner(workers=1, cache_dir=cache_dir) as runner:
+            (job,) = build_jobs([spec])
+            runner.run_jobs([job])  # memoized by the blocking path, no ticket yet
+            assert fetch(self._service(tmp_path, runner), runner) == "memo"
+        assert encodes == []
+
     def test_seeded_request_script_rate_limits_deterministically(self, tmp_path):
         """A scripted submission sequence gets an exact status/Retry-After
         sequence back: the limiter runs on an injected clock."""
