@@ -23,22 +23,22 @@ records are preserved exactly, while unserialized extras (final phase arrays,
 trajectories) are dropped — the same form a cache hit or a worker process
 returns, so the three sources are indistinguishable.
 
-Beyond the blocking :meth:`ExperimentRunner.run_jobs` path, the runner exposes
-an explicit **plan / submit / poll / fetch** API for long-lived callers (the
-``msropm serve`` front door):
+Every job enters through one admission path and becomes a :class:`Ticket`
+keyed by its content hash: a hash the memo or the disk cache answers gets an
+immediately-``done`` ticket, a hash already in flight **coalesces** onto the
+existing ticket (N admissions of one hash, from any caller, make one
+execution), and anything else gets a new ticket.  One completion path runs new
+tickets as a scheduler batch, validates, stores and memoizes each result, and
+settles the tickets.  The two entry points differ only in who executes:
 
-* :meth:`ExperimentRunner.submit_jobs` is non-blocking — each job becomes a
-  :class:`Ticket` keyed by its content hash, answered immediately from the
-  memo or disk cache when possible, and otherwise queued for a background
-  drain thread that shards batches through the scheduler;
-* identical in-flight submissions **coalesce**: N concurrent submissions of
-  the same hash attach to one pending ticket and one pool slot, never N;
-* resubmitting a hash after completion returns the same (finished) ticket —
-  idempotent resubmission is a pure memo/cache fetch;
-* :meth:`ExperimentRunner.poll` / :meth:`ExperimentRunner.wait` are the
-  completion-watch path, and ``max_pending`` bounds the submit queue so a
-  front door can push back (:class:`SubmitQueueFull`) instead of buffering
-  without limit.
+* :meth:`ExperimentRunner.run_jobs` blocks — it executes its new tickets in
+  the calling thread, waits for any it coalesced onto, and returns results;
+* :meth:`ExperimentRunner.submit_jobs` does not (the ``msropm serve`` front
+  door) — new tickets queue for a background drain thread,
+  :meth:`~ExperimentRunner.poll` / :meth:`~ExperimentRunner.wait` watch them,
+  resubmitting a finished hash returns the same ticket, and ``max_pending``
+  bounds the queue so a front door can push back (:class:`SubmitQueueFull`)
+  instead of buffering without limit.
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ from repro.obs.metrics import get_metrics
 from repro.runtime.cache import ResultCache
 from repro.runtime.executors import ProgressCallback, make_backend
 from repro.runtime.jobs import GraphSpec, Job, SolveJob, as_graph_spec, merge_job_results
-from repro.runtime.scheduler import DecodedBatch, JobScheduler
+from repro.runtime.scheduler import JobScheduler
 
-#: Ticket lifecycle states.  ``pending`` — queued, not yet handed to the
-#: scheduler; ``running`` — part of the batch the drain thread is executing;
-#: ``done`` — result available; ``failed`` — execution raised (the error is
-#: recorded and a resubmission of the same hash re-enqueues a fresh attempt).
+#: Ticket lifecycle states.  ``pending`` — admitted, not yet handed to the
+#: scheduler; ``running`` — in a batch the drain thread or a blocking caller
+#: is executing; ``done`` — result available; ``failed`` — execution raised
+#: (the error is recorded and a resubmission of the same hash re-enqueues a
+#: fresh attempt).
 TICKET_PENDING = "pending"
 TICKET_RUNNING = "running"
 TICKET_DONE = "done"
@@ -98,7 +99,7 @@ class SubmitQueueFull(ReproError):
 
 @dataclass
 class Ticket:
-    """One submitted job's handle: identity, lifecycle state, and result.
+    """One admitted job's handle: identity, lifecycle state, and result.
 
     For cacheable jobs the ticket id *is* the job content hash — which is what
     makes resubmission idempotent (same hash, same ticket) and lets a restarted
@@ -110,8 +111,8 @@ class Ticket:
     ``payload`` is the job's persisted payload the result was decoded from
     (the worker's output or the cache entry), kept so a fetch can ship it
     without encoding the result again.
-    ``coalesced`` counts the *extra* submissions that attached to this ticket
-    while it was in flight.
+    ``coalesced`` counts the *extra* admissions (submitted or blocking) that
+    attached to this ticket while it was in flight.
     """
 
     ticket_id: str
@@ -143,6 +144,10 @@ class SolveRequest:
 class ExperimentRunner:
     """Unified execution facade: scheduling + caching for experiment solves.
 
+    Blocking calls (:meth:`run_jobs`) and submissions (:meth:`submit_jobs`)
+    share one admission path and one completion path; a blocking call runs
+    in the caller's thread, so a runner that only serves those starts none.
+
     Parameters
     ----------
     workers:
@@ -166,10 +171,11 @@ class ExperimentRunner:
         Extra keyword options forwarded to the backend constructor (e.g.
         ``lease_timeout`` for the spool backend).
     max_pending:
-        Upper bound on in-flight (pending + running) *submitted* jobs; a
-        submission past the cap raises :class:`SubmitQueueFull`.  ``None``
-        (default) means unbounded.  Only the submit path is capped — the
-        blocking :meth:`run_jobs` path is already self-limiting.
+        Upper bound on in-flight (pending + running) tickets; a submission
+        that would add one past the cap raises :class:`SubmitQueueFull`.
+        ``None`` (default) means unbounded.  Only :meth:`submit_jobs` is
+        capped — :meth:`run_jobs` executes its own tickets, so it is already
+        self-limiting (its in-flight tickets still count toward the depth).
     """
 
     def __init__(
@@ -192,10 +198,12 @@ class ExperimentRunner:
         # job hash -> (decoded result, the payload it was decoded from)
         self._memo: Dict[str, Tuple[Any, Dict]] = {}
         self.jobs_run = 0
-        # --- submit/poll/fetch state (all guarded by _cond's lock) ---
+        # --- ticket state (all guarded by _cond's lock) ---
         self._cond = threading.Condition()
+        # ticket id -> ticket: every submitted ticket and every executed
+        # cacheable one (later admissions of its hash reuse it).
         self._tickets: Dict[str, Ticket] = {}
-        self._queue: List[Ticket] = []
+        self._queue: List[Ticket] = []  # submitted, waiting for the drain thread
         self._in_flight = 0
         self._drain_thread: Optional[threading.Thread] = None
         self._stop_drain = False
@@ -223,7 +231,7 @@ class ExperimentRunner:
         commands (``msropm suite``, ``msropm scenarios``) pay process spin-up
         once; closing the runner — or using it as a context manager — returns
         the workers.  A closed runner can keep solving: the next parallel
-        batch (or submission) simply restarts the drain thread and pool.
+        batch restarts the pool, the next submission the drain thread.
 
         The drain thread finishes the batch it is currently executing, then
         exits; tickets still *queued* at that point are marked failed (their
@@ -250,9 +258,11 @@ class ExperimentRunner:
 
     def stats(self) -> Dict[str, int]:
         """Execution counters: jobs run, cache hits/misses/stores, memo size,
-        and the submit path's ticket/coalescing/queue accounting.
-        ``drain_alive`` reports whether the background drain thread is
-        currently running (liveness for the service's ``/stats``)."""
+        and ticket/coalescing/queue accounting.  The ``tickets_*`` counters
+        count admissions from :meth:`run_jobs` as well as submissions, and
+        ``queue_depth`` is the in-flight tickets of both.  ``drain_alive``
+        reports whether the background drain thread is currently running
+        (liveness for the service's ``/stats``)."""
         with self._cond:
             counters = {
                 "jobs_run": self.jobs_run,
@@ -296,76 +306,50 @@ class ExperimentRunner:
         """Run a batch of jobs (any mix of types), returning decoded results
         in submission order.
 
-        This is the generic execution path every batch goes through: jobs
-        already answered by the in-process memo or the disk cache are skipped,
-        identical jobs are deduplicated by content hash and computed once, and
-        the remainder shards across the scheduler's worker pool.  Each freshly
-        computed result is checked with ``job.validate`` before it is memoized
-        or stored; an invalid one is neither, and once the batch's valid
-        results are stored, :class:`~repro.exceptions.ReproError` names it.
+        Every job is admitted like a submission: answered by the memo or the
+        disk cache, coalesced onto an in-flight ticket of the same hash (this
+        batch's or another caller's), or given a new ticket.  The new tickets
+        then run as one scheduler batch *in the calling thread*, so the call
+        starts no thread and a ``workers=1`` runner stays inline; an
+        exception from the scheduler reaches the caller as raised.  Each
+        freshly computed result is checked with ``job.validate`` before it is
+        memoized or stored; an invalid one is neither, and once the batch's
+        valid results are stored, :class:`~repro.exceptions.ReproError`
+        names it.
 
-        ``progress`` (optional) fires once per job as it resolves — immediately
-        for memo/cache answers, per completion for scheduled jobs — giving
+        ``progress`` (optional) fires once per job as it resolves — first for
+        memo/cache answers, then per completion for executed jobs — giving
         callers (the campaign orchestrator's per-job ledger events) batch-free
         granularity.  It is observability only: it must not raise, may see
         duplicate job hashes (dedup is the consumer's job), and cannot affect
         results.
         """
         jobs = list(jobs)
-        resolved: Dict[int, Any] = {}
-        pending: List[Job] = []
-        pending_keys: set = set()
+        new: List[Ticket] = []
         with self._cond:
-            for position, job in enumerate(jobs):
-                key = job.job_hash if job.cacheable else None
-                if key is not None and key in self._memo:
-                    resolved[position] = self._memo[key][0]
-                    continue
-                if key is not None and key in pending_keys:
-                    continue  # identical job already queued; share its result
-                if key is not None and self.cache is not None:
-                    cached = self.cache.load(job)
-                    if cached is not None:
-                        self._memo[key] = cached
-                        resolved[position] = cached[0]
-                        continue
-                if key is not None:
-                    pending_keys.add(key)
-                pending.append(job)
-
+            tickets = [self._admit_locked(job, new) for job in jobs]
+            answered = [ticket.finished for ticket in tickets]
         if progress is not None:
-            # Announce the memo/cache-resolved jobs up front (outside the
-            # lock); scheduled jobs announce themselves as they complete.
-            for position in sorted(resolved):
-                progress(jobs[position])
-
-        fresh = self.scheduler.run(pending, progress)
-        valid = self._validate_and_store(pending, fresh)
-        with self._cond:
-            self.jobs_run += len(fresh)
-            for job, result, payload, ok in zip(pending, fresh, fresh.payloads, valid):
-                if ok and job.cacheable:
-                    self._memo[job.job_hash] = (result, payload)
-        rejected = [job for job, ok in zip(pending, valid) if not ok]
-        if rejected:
-            more = f" (and {len(rejected) - 1} more)" if len(rejected) > 1 else ""
-            raise ReproError(f"{_invalid_result_message(rejected[0])}{more}")
-
-        # Fill the remaining positions (freshly run or deduplicated jobs).
-        next_uncacheable = iter(
-            result for job, result in zip(pending, fresh) if not job.cacheable
-        )
-        for position, job in enumerate(jobs):
-            if position in resolved:
-                continue
-            if job.cacheable:
-                resolved[position] = self._memo[job.job_hash][0]
-            else:
-                resolved[position] = next(next_uncacheable)
-        return [resolved[position] for position in range(len(jobs))]
+            for job, done in zip(jobs, answered):
+                if done:
+                    progress(job)
+        self._execute(new, progress)
+        self.wait(tickets)  # including those another caller is executing
+        if progress is not None:
+            announced = {id(ticket) for ticket in new}
+            for ticket, done in zip(tickets, answered):
+                if not done and id(ticket) not in announced and ticket.state == TICKET_DONE:
+                    announced.add(id(ticket))
+                    progress(ticket.job)
+        failed = list({id(t): t for t in tickets if t.state == TICKET_FAILED}.values())
+        if failed:
+            more = f" (and {len(failed) - 1} more)" if len(failed) > 1 else ""
+            raise ReproError(f"{failed[0].error}{more}")
+        return [ticket.result for ticket in tickets]
 
     # ------------------------------------------------------------------
-    # Non-blocking submit / poll / fetch path (the service front door).
+    # Non-blocking submit / poll / fetch (the service front door), and the
+    # admission and completion paths it shares with run_jobs.
     # ------------------------------------------------------------------
     def submit_jobs(self, jobs: Sequence[Job]) -> List[Ticket]:
         """Submit a batch of jobs without blocking, returning one ticket each.
@@ -381,10 +365,13 @@ class ExperimentRunner:
         stay queued — hash-keyed idempotency makes a full-batch retry safe
         (retried jobs coalesce onto their already-queued tickets).
         """
-        jobs = list(jobs)
+        tickets: List[Ticket] = []
         with self._cond:
             try:
-                tickets = [self._submit_one_locked(job) for job in jobs]
+                for job in jobs:
+                    ticket = self._admit_locked(job, self._queue, self.max_pending)
+                    self._tickets[ticket.ticket_id] = ticket  # pollable by id
+                    tickets.append(ticket)
             finally:
                 # Wake the drain thread even if a later job hit the cap:
                 # already-admitted tickets must still execute.
@@ -397,73 +384,119 @@ class ExperimentRunner:
         """Submit a single job (see :meth:`submit_jobs`)."""
         return self.submit_jobs([job])[0]
 
-    def _submit_one_locked(self, job: Job) -> Ticket:
-        """Resolve one submission to a ticket.  Caller holds ``_cond``."""
+    def _admit_locked(
+        self, job: Job, queue: List[Ticket], limit: Optional[int] = None
+    ) -> Ticket:
+        """Resolve one job to a ticket.  Caller holds ``_cond``.
+
+        A hash with a live or finished ticket reuses it; otherwise the memo,
+        then the disk cache, answer with a ``done`` ticket.  Anything else
+        gets a new ticket appended to ``queue`` for the caller to execute,
+        unless ``limit`` tickets are already in flight
+        (:class:`SubmitQueueFull`).  New cacheable tickets are registered
+        here, so every later admission of their hash coalesces onto them.
+        """
+        metrics = get_metrics()
         key = job.job_hash if job.cacheable else None
+        answer, source = None, "memo"
         if key is not None:
             existing = self._tickets.get(key)
-            if existing is not None:
-                if existing.state in TICKET_ACTIVE_STATES:
+            if existing is not None and existing.state != TICKET_FAILED:
+                if existing.finished:
+                    self.tickets_cache_served += 1
+                    metrics.inc("runner.tickets_cache_served")
+                else:
                     existing.coalesced += 1
                     self.tickets_coalesced += 1
-                    get_metrics().inc("runner.tickets_coalesced")
-                    return existing
-                if existing.state == TICKET_DONE:
-                    self.tickets_cache_served += 1
-                    get_metrics().inc("runner.tickets_cache_served")
-                    return existing
-                # failed → fall through and re-enqueue a fresh attempt
-            if key in self._memo:
-                result, payload = self._memo[key]
-                ticket = Ticket(
-                    ticket_id=key,
-                    job=job,
-                    state=TICKET_DONE,
-                    result=result,
-                    payload=payload,
-                    source="memo",
-                    sequence=next(self._ticket_seq),
-                )
-                self._tickets[key] = ticket
-                self.tickets_issued += 1
-                self.tickets_cache_served += 1
-                get_metrics().inc("runner.tickets_issued")
-                get_metrics().inc("runner.tickets_cache_served")
-                return ticket
-            if self.cache is not None:
-                cached = self.cache.load(job)
-                if cached is not None:
-                    self._memo[key] = cached
-                    ticket = Ticket(
-                        ticket_id=key,
-                        job=job,
-                        state=TICKET_DONE,
-                        result=cached[0],
-                        payload=cached[1],
-                        source="cache",
-                        sequence=next(self._ticket_seq),
-                    )
-                    self._tickets[key] = ticket
-                    self.tickets_issued += 1
-                    self.tickets_cache_served += 1
-                    get_metrics().inc("runner.tickets_issued")
-                    get_metrics().inc("runner.tickets_cache_served")
-                    return ticket
-        if self.max_pending is not None and self._in_flight >= self.max_pending:
-            get_metrics().inc("runner.submit_rejections")
-            raise SubmitQueueFull(self._in_flight, self.max_pending)
-        ticket_id = key if key is not None else f"anon-{next(self._anon_seq)}"
+                    metrics.inc("runner.tickets_coalesced")
+                return existing
+            answer = self._memo.get(key)
+            if answer is None and self.cache is not None:
+                answer, source = self.cache.load(job), "cache"
+                if answer is not None:
+                    self._memo[key] = answer
+        if answer is None and limit is not None and self._in_flight >= limit:
+            metrics.inc("runner.submit_rejections")
+            raise SubmitQueueFull(self._in_flight, limit)
         ticket = Ticket(
-            ticket_id=ticket_id, job=job, sequence=next(self._ticket_seq)
+            ticket_id=key if key is not None else f"anon-{next(self._anon_seq)}",
+            job=job,
+            sequence=next(self._ticket_seq),
         )
-        self._tickets[ticket_id] = ticket
-        self._queue.append(ticket)
         self._in_flight += 1
         self.tickets_issued += 1
-        metrics = get_metrics()
         metrics.inc("runner.tickets_issued")
+        if answer is not None:
+            self.tickets_cache_served += 1
+            metrics.inc("runner.tickets_cache_served")
+            self._settle_locked(ticket, TICKET_DONE, *answer, source=source)
+            return ticket
+        if key is not None:
+            self._tickets[key] = ticket
+        queue.append(ticket)
         metrics.set_gauge("runner.queue_depth", self._in_flight)
         return ticket
+
+    def _settle_locked(
+        self,
+        ticket: Ticket,
+        state: str,
+        result: Any = None,
+        payload: Optional[Dict] = None,
+        source: str = "computed",
+        error: Optional[str] = None,
+    ) -> None:
+        """Move an in-flight ticket to a terminal state.  Caller holds ``_cond``."""
+        ticket.state, ticket.result, ticket.payload = state, result, payload
+        ticket.source, ticket.error = source, error
+        self._in_flight -= 1
+        get_metrics().set_gauge("runner.queue_depth", self._in_flight)
+        self._cond.notify_all()
+
+    def _execute(
+        self, tickets: List[Ticket], progress: Optional[ProgressCallback] = None
+    ) -> None:
+        """Run new tickets as one scheduler batch and settle every one.
+
+        A valid result is stored as the payload its worker produced (no second
+        encode), memoized, and settles its ticket ``done``; an invalid one is
+        neither stored nor memoized and fails its ticket.  If the batch
+        raises, every ticket fails with the error, which is then re-raised.
+        """
+        if not tickets:
+            return
+        with self._cond:
+            for ticket in tickets:
+                ticket.state = TICKET_RUNNING
+        jobs = [ticket.job for ticket in tickets]
+        metrics = get_metrics()
+        try:
+            batch = self.scheduler.run(jobs, progress)
+            valid = [bool(job.validate(result)) for job, result in zip(jobs, batch)]
+            for job, payload, ok in zip(jobs, batch.payloads, valid):
+                if not ok:
+                    metrics.inc("runner.invalid_results")
+                elif job.cacheable and self.cache is not None:
+                    self.cache.store(job, payload)
+        except BaseException as exc:
+            with self._cond:
+                for ticket in tickets:
+                    self._settle_locked(
+                        ticket, TICKET_FAILED, error=f"{type(exc).__name__}: {exc}"
+                    )
+            raise
+        with self._cond:
+            self.jobs_run += len(tickets)
+            for ticket, result, payload, ok in zip(tickets, batch, batch.payloads, valid):
+                if not ok:
+                    self._settle_locked(
+                        ticket, TICKET_FAILED, error=_invalid_result_message(ticket.job)
+                    )
+                    continue
+                if ticket.job.cacheable:
+                    self._memo[ticket.ticket_id] = (result, payload)
+                self._settle_locked(ticket, TICKET_DONE, result, payload)
+        metrics.inc("runner.tickets_completed", sum(valid))
 
     def _ensure_drain_thread_locked(self) -> None:
         """Start the background drain thread if needed.  Caller holds ``_cond``."""
@@ -475,77 +508,28 @@ class ExperimentRunner:
             self._drain_thread.start()
 
     def _drain_worker(self) -> None:
-        """Background loop: take the whole queue as one scheduler batch.
+        """Background loop: take the whole queue and execute it as one batch.
 
-        Batching the full queue (rather than one job at a time) preserves the
-        sharding behaviour of :meth:`run_jobs` — a burst of submissions
-        spreads across the warm pool in a single dispatch.
+        Batching the full queue (rather than one job at a time) lets a burst
+        of submissions spread across the warm pool in a single dispatch.
         """
         while True:
             with self._cond:
                 while not self._queue and not self._stop_drain:
                     self._cond.wait()
+                batch, self._queue = self._queue, []
                 if self._stop_drain:
-                    for ticket in self._queue:
-                        ticket.state = TICKET_FAILED
-                        ticket.error = "runner closed before execution"
-                        self._in_flight -= 1
-                    self._queue.clear()
-                    self._cond.notify_all()
+                    for ticket in batch:
+                        self._settle_locked(
+                            ticket, TICKET_FAILED, error="runner closed before execution"
+                        )
                     return
-                batch = list(self._queue)
-                self._queue.clear()
-                for ticket in batch:
-                    ticket.state = TICKET_RUNNING
             metrics = get_metrics()
             try:
                 with metrics.timer("runner.drain_batch_seconds"):
-                    results = self.scheduler.run([ticket.job for ticket in batch])
-            except Exception as exc:  # noqa: BLE001 - report, never kill the loop
+                    self._execute(batch)
+            except Exception:  # noqa: BLE001 - the tickets carry the error
                 metrics.inc("runner.drain_batch_failures")
-                with self._cond:
-                    for ticket in batch:
-                        ticket.state = TICKET_FAILED
-                        ticket.error = f"{type(exc).__name__}: {exc}"
-                        self._in_flight -= 1
-                    metrics.set_gauge("runner.queue_depth", self._in_flight)
-                    self._cond.notify_all()
-                continue
-            valid = self._validate_and_store([ticket.job for ticket in batch], results)
-            with self._cond:
-                for ticket, result, payload, ok in zip(batch, results, results.payloads, valid):
-                    if not ok:
-                        ticket.state = TICKET_FAILED
-                        ticket.error = _invalid_result_message(ticket.job)
-                    else:
-                        if ticket.job.cacheable:
-                            self._memo[ticket.job.job_hash] = (result, payload)
-                        ticket.result = result
-                        ticket.payload = payload
-                        ticket.state = TICKET_DONE
-                        ticket.source = "computed"
-                    self.jobs_run += 1
-                    self._in_flight -= 1
-                metrics.inc("runner.tickets_completed", sum(valid))
-                metrics.set_gauge("runner.queue_depth", self._in_flight)
-                self._cond.notify_all()
-
-    def _validate_and_store(self, jobs: Sequence[Job], batch: DecodedBatch) -> List[bool]:
-        """Validate each freshly computed result; store the valid ones.
-
-        A valid result is stored as the payload its worker produced (no
-        second encode); an invalid one is neither stored nor, by the callers,
-        memoized.  Returns one validity flag per job.
-        """
-        valid: List[bool] = []
-        for job, result, payload in zip(jobs, batch, batch.payloads):
-            ok = bool(job.validate(result))
-            if not ok:
-                get_metrics().inc("runner.invalid_results")
-            elif job.cacheable and self.cache is not None:
-                self.cache.store(job, payload)
-            valid.append(ok)
-        return valid
 
     def poll(self, ticket_id: str) -> Optional[Ticket]:
         """Look up a ticket by id (``None`` if this runner never issued it)."""
@@ -571,7 +555,7 @@ class ExperimentRunner:
         return True
 
     def queue_depth(self) -> int:
-        """In-flight (pending + running) submitted jobs."""
+        """In-flight (pending + running) tickets, submitted or blocking."""
         with self._cond:
             return self._in_flight
 

@@ -94,9 +94,10 @@ class JobScheduler:
         if backend is None:
             backend = LocalPoolExecutorBackend(workers=workers, thread_caps=thread_caps)
         self.backend = backend
-        # Serializes cross-thread batches: the runner's blocking run_jobs path
-        # and its background drain thread may both dispatch; backends are not
-        # required to be re-entrant, so one batch owns the backend at a time.
+        # Serializes cross-thread batches: the runner executes blocking
+        # run_jobs batches in each caller's thread and submitted ones in its
+        # drain thread; backends are not required to be re-entrant, so one
+        # batch owns the backend at a time.
         self._run_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -160,7 +160,7 @@ class TestTicketSubmission:
         """A failed hash is retryable: resubmission runs a fresh attempt."""
         with ExperimentRunner(workers=1) as runner:
             real_run = runner.scheduler.run
-            runner.scheduler.run = lambda jobs: (_ for _ in ()).throw(
+            runner.scheduler.run = lambda jobs, progress=None: (_ for _ in ()).throw(
                 RuntimeError("injected execution failure")
             )
             try:
@@ -191,9 +191,9 @@ class TestTicketSubmission:
         with ExperimentRunner(workers=1) as runner:
             real_run = runner.scheduler.run
 
-            def blocking_run(jobs):
+            def blocking_run(jobs, progress=None):
                 release.wait(timeout=60.0)
-                return real_run(jobs)
+                return real_run(jobs, progress)
 
             runner.scheduler.run = blocking_run
             first = runner.submit(_job(fast_config, seed=1))
@@ -222,10 +222,10 @@ class TestTicketSubmission:
         with ExperimentRunner(workers=1, max_pending=1) as runner:
             real_run = runner.scheduler.run
 
-            def blocking_run(jobs):
+            def blocking_run(jobs, progress=None):
                 started.set()
                 release.wait(timeout=60.0)
-                return real_run(jobs)
+                return real_run(jobs, progress)
 
             runner.scheduler.run = blocking_run
             try:
@@ -547,10 +547,10 @@ class TestSolverServiceHandle:
         with ExperimentRunner(workers=1, max_pending=1) as runner:
             real_run = runner.scheduler.run
 
-            def blocking_run(jobs):
+            def blocking_run(jobs, progress=None):
                 started.set()
                 release.wait(timeout=60.0)
-                return real_run(jobs)
+                return real_run(jobs, progress)
 
             runner.scheduler.run = blocking_run
             try:
