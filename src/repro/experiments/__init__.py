@@ -26,7 +26,11 @@ from repro.experiments.table1_stats import (
     power_scaling_series,
     run_table1,
 )
-from repro.experiments.table2_comparison import Table2Result, plan_table2_requests, run_table2
+from repro.experiments.table2_comparison import (
+    Table2Result,
+    plan_table2_jobs,
+    run_table2,
+)
 from repro.experiments.scenario_matrix import (
     SCENARIO_BASELINES,
     ScenarioMatrixResult,
@@ -34,7 +38,7 @@ from repro.experiments.scenario_matrix import (
     plan_scenario_requests,
     run_scenario_matrix,
 )
-from repro.experiments.suite import SuiteResult, plan_suite_requests, run_suite
+from repro.experiments.suite import SuiteResult, plan_suite_jobs, run_suite
 
 __all__ = [
     "BenchmarkProblem",
@@ -60,10 +64,10 @@ __all__ = [
     "Table2Result",
     "run_table2",
     "plan_table1_requests",
-    "plan_table2_requests",
+    "plan_table2_jobs",
     "plan_figure5_requests",
     "SuiteResult",
-    "plan_suite_requests",
+    "plan_suite_jobs",
     "run_suite",
     "SCENARIO_BASELINES",
     "ScenarioMatrixResult",

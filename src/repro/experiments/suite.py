@@ -2,15 +2,16 @@
 
 ``msropm suite`` reproduces the paper's whole evaluation grid — Table 1,
 Table 2 and Figure 5 — through a single :class:`ExperimentRunner`.  The suite
-first collects every experiment's planned solve requests (via the per-module
-``plan_*_requests`` helpers) and submits them as **one batch**, so the
-process pool shards the union of all jobs freely; duplicate jobs across
-experiments (Fig. 5 re-plots the sizes Table 1 solves, under the same seeds)
-are deduplicated by content hash and solved once.  The individual experiments
-then run against the warmed runner and resolve entirely from its memo/cache.
+first collects every experiment's planned jobs (the Table 1 and Fig. 5 solve
+requests, and Table 2's solve and baseline jobs from ``plan_table2_jobs``)
+and submits them as **one batch**, so the process pool shards the union of
+all jobs freely; duplicate jobs across experiments (Fig. 5 re-plots the sizes
+Table 1 solves, under the same seeds) are deduplicated by content hash and
+solved once.  The individual experiments then run against the warmed runner
+and resolve entirely from its memo/cache.
 
-With a persistent cache directory, a second ``msropm suite`` invocation skips
-every solve and renders straight from disk.
+With a persistent cache directory, a second ``msropm suite`` invocation runs
+no solve and no baseline and renders straight from disk.
 
 The suite also exists as the built-in ``suite`` *campaign*
 (:mod:`repro.campaigns.builtin`): the same planners as separate ledgered
@@ -33,12 +34,9 @@ from repro.experiments.fig5_accuracy import (
     run_figure5,
 )
 from repro.experiments.table1_stats import Table1Result, plan_table1_requests, run_table1
-from repro.experiments.table2_comparison import (
-    Table2Result,
-    plan_table2_requests,
-    run_table2,
-)
-from repro.runtime.runner import ExperimentRunner, SolveRequest
+from repro.experiments.table2_comparison import Table2Result, plan_table2_jobs, run_table2
+from repro.runtime.jobs import Job
+from repro.runtime.runner import ExperimentRunner
 
 
 @dataclass
@@ -76,18 +74,20 @@ class SuiteResult:
         )
 
 
-def plan_suite_requests(
+def plan_suite_jobs(
+    runner: ExperimentRunner,
     scale: float = 1.0,
     iterations: Optional[int] = None,
     seed: int = 2025,
     config: Optional[MSROPMConfig] = None,
     precision: Optional[str] = None,
-) -> List[SolveRequest]:
-    """The union of all solve requests the suite's experiments schedule.
+) -> List[Job]:
+    """The union of all jobs the suite's experiments schedule.
 
-    Reuses each experiment's own planner, so the job hashes here are exactly
-    the hashes the standalone experiments compute — the warm pass and the
-    per-experiment runs address the same cache entries.
+    Reuses each experiment's own planner (solve jobs chunked by ``runner``),
+    so the job hashes here are exactly the hashes the standalone experiments
+    compute — the warm pass and the per-experiment runs address the same
+    cache entries.
     """
     shared = dict(
         iterations=iterations,
@@ -96,11 +96,15 @@ def plan_suite_requests(
         seed=seed,
         precision=precision,
     )
-    requests: List[SolveRequest] = []
-    requests.extend(plan_table1_requests(**shared))
-    requests.extend(plan_table2_requests(**shared))
-    requests.extend(plan_figure5_requests(**shared))
-    return requests
+
+    def solve_jobs(requests) -> List[Job]:
+        return [job for chunk in runner.plan_jobs(requests) for job in chunk]
+
+    return [
+        *solve_jobs(plan_table1_requests(**shared)),
+        *plan_table2_jobs(runner, **shared),
+        *solve_jobs(plan_figure5_requests(**shared)),
+    ]
 
 
 def run_suite(
@@ -129,7 +133,7 @@ def run_suite(
     )
 
     # One sharded pass over the union of all jobs (deduplicated by hash).
-    runner.solve_many(plan_suite_requests(**shared))
+    runner.run_jobs(plan_suite_jobs(runner, **shared))
 
     # The experiments now resolve from the warmed runner.
     table1 = run_table1(runner=runner, **shared)

@@ -14,27 +14,30 @@ The optical/hybrid machines ([11], [13]) and the RTWO machine ([9]) cannot be
 re-implemented meaningfully here, so their rows are carried over from the
 paper and marked "cited".
 
-The headline MSROPM solve routes through the experiment runtime
-(``plan_table2_requests`` ->
-:meth:`repro.runtime.runner.ExperimentRunner.solve_many`), so it shards and
-caches with the rest of the evaluation; the single-stage ROPM and ROIM
-baselines keep their own (cheap, comparison-sized) iteration loops.
+Every measured row runs as runner jobs (``plan_table2_jobs`` ->
+:meth:`repro.runtime.runner.ExperimentRunner.run_jobs`): the headline MSROPM
+solve as solve jobs and the single-stage ROPM and ROIM rows as
+:class:`repro.runtime.baselines.BaselineJob` values on King's-board workload
+instances.  All three shard and cache with the rest of the evaluation, so a
+warm run reads the whole table from the cache and simulates nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.analysis.comparison import ComparisonRow, ComparisonTable, accuracy_range_text
-from repro.baselines.roim_maxcut import ROIMMaxCut
-from repro.baselines.single_stage_ropm import SingleStageROPM
 from repro.circuit.power import PowerModel
 from repro.core.config import MSROPMConfig
-from repro.experiments.problems import default_config, scaled_iterations, scaled_problem, scaled_spec
+from repro.experiments.problems import default_config, scaled_iterations, scaled_spec
+from repro.ising.maxcut import kings_graph_reference_cut
+from repro.runtime.baselines import BaselineJob
+from repro.runtime.jobs import Job, KingsGraphSpec, merge_job_results
 from repro.runtime.runner import ExperimentRunner, SolveRequest
+from repro.workloads.registry import WorkloadInstance
 
 
 @dataclass
@@ -51,27 +54,74 @@ class Table2Result:
         return self.table.with_literature().render()
 
 
-def plan_table2_requests(
+def _kings_instance(
+    family: str, kind: str, num_colors: int, spec: KingsGraphSpec
+) -> WorkloadInstance:
+    """A comparison-board workload instance of one baseline row."""
+    return WorkloadInstance(
+        family=family,
+        label=spec.label,
+        params=(("rows", spec.rows),),
+        seed=None,
+        spec=spec,
+        kind=kind,
+        num_colors=num_colors,
+    )
+
+
+def plan_table2_jobs(
+    runner: ExperimentRunner,
     msropm_nodes: int = 2116,
+    comparison_nodes: int = 400,
     iterations: Optional[int] = None,
     scale: float = 1.0,
     config: Optional[MSROPMConfig] = None,
     seed: int = 2025,
     precision: Optional[str] = None,
-) -> List[SolveRequest]:
-    """The runtime solve requests of Table 2: the headline MSROPM row."""
-    config = config or default_config(seed)
-    if precision is not None:
-        config = config.with_updates(precision=precision)
+) -> List[Job]:
+    """Every job Table 2 measures, in row order.
+
+    The headline MSROPM row's solve jobs (chunked by ``runner``, see
+    :meth:`ExperimentRunner.plan_jobs`), then two :class:`BaselineJob` values
+    on the comparison board: the single-stage 3-SHIL ROPM (3-coloring, seed
+    ``seed + 1``) and the ROIM (max-cut against the King's striping cut, seed
+    ``seed + 2``).  ``precision`` applies to the MSROPM row only: the
+    baselines are tier-agnostic, so one cached run serves both tiers.
+    """
     iterations = iterations if iterations is not None else scaled_iterations(scale)
-    return [
-        SolveRequest(
-            spec=scaled_spec(msropm_nodes, scale=scale),
-            config=config,
+    base = config or default_config(seed)
+    headline = SolveRequest(
+        spec=scaled_spec(msropm_nodes, scale=scale),
+        config=base if precision is None else base.with_updates(precision=precision),
+        iterations=iterations,
+        seed=seed,
+    )
+    jobs: List[Job] = list(runner.plan_jobs([headline])[0])
+    board = scaled_spec(comparison_nodes, scale=scale)
+    jobs.append(
+        BaselineJob(
+            instance=_kings_instance("kings", "coloring", 3, board),
+            baseline="single_stage",
+            config=base,
             iterations=iterations,
-            seed=seed,
+            seed=seed + 1,
         )
-    ]
+    )
+    # Normalize the ROIM cut against the King's-graph reference striping cut
+    # (the cut the exact 4-coloring induces), mirroring how the hardware ROIMs
+    # are scored against a heuristic reference rather than the unattainable
+    # total edge count.
+    jobs.append(
+        BaselineJob(
+            instance=_kings_instance("maxcut", "maxcut", 2, board),
+            baseline="roim",
+            config=base,
+            iterations=iterations,
+            seed=seed + 2,
+            reference_cut=float(kings_graph_reference_cut(board.rows, board.cols)),
+        )
+    )
+    return jobs
 
 
 def run_table2(
@@ -90,38 +140,40 @@ def run_table2(
     ``msropm_nodes`` selects the problem size for the headline MSROPM row (the
     paper uses its largest, 2116 nodes); ``comparison_nodes`` sizes the
     single-stage ROPM and ROIM rows (kept smaller since they exist for
-    accuracy comparison, not for scale records).  ``runner`` supplies the
-    execution runtime for the MSROPM row (``None`` = serial, uncached).
+    accuracy comparison, not for scale records).  ``runner`` runs every
+    measured row, the MSROPM solve and both baselines (``None`` = serial,
+    uncached); ``precision`` applies to the MSROPM row only.
     """
     runner = runner or ExperimentRunner()
-    config = config or default_config(seed)
-    if precision is not None:
-        # Only the MSROPM headline row runs at the selected precision; the
-        # single-stage baselines keep the exact tier.
-        config = config.with_updates(precision=precision)
+    base = config or default_config(seed)
     power_model = power_model or PowerModel()
-    iterations = iterations if iterations is not None else scaled_iterations(scale)
+    jobs = plan_table2_jobs(
+        runner,
+        msropm_nodes=msropm_nodes,
+        comparison_nodes=comparison_nodes,
+        iterations=iterations,
+        scale=scale,
+        config=config,
+        seed=seed,
+        precision=precision,
+    )
+    *solve_results, ropm_payload, roim_payload = runner.run_jobs(jobs)
+    msropm_result = merge_job_results(jobs[:-2], solve_results)
+    ropm_accuracies = np.array(ropm_payload["accuracies"], dtype=float)
+    roim_accuracies = np.array(roim_payload["accuracies"], dtype=float)
 
     table = ComparisonTable()
-
-    # ----------------------------------------------------------- MSROPM row
-    msropm_problem = scaled_problem(msropm_nodes, scale=scale)
-    requests = plan_table2_requests(
-        msropm_nodes=msropm_nodes, iterations=iterations, scale=scale, config=config, seed=seed
-    )
-    msropm_result = runner.solve_many(requests)[0]
-    msropm_power = power_model.total_power(
-        msropm_problem.graph.num_nodes, msropm_problem.graph.num_edges
-    )
+    msropm_graph = msropm_result.graph
+    msropm_power = power_model.total_power(msropm_graph.num_nodes, msropm_graph.num_edges)
     table.add_row(
         ComparisonRow(
             label="MSROPM (this work)",
             solver_type="Potts",
             solved_cop="4-coloring",
             technology="CMOS 65nm GP (modeled)",
-            spins=msropm_problem.graph.num_nodes,
+            spins=msropm_graph.num_nodes,
             average_power_w=msropm_power,
-            time_to_solution_s=config.total_run_time,
+            time_to_solution_s=base.total_run_time,
             accuracy_range=accuracy_range_text(
                 float(msropm_result.accuracies.min()), float(msropm_result.accuracies.max())
             ),
@@ -130,44 +182,26 @@ def run_table2(
         )
     )
 
-    # ------------------------------------------- single-stage N-SHIL ROPM row
-    ropm_problem = scaled_problem(comparison_nodes, scale=scale)
-    ropm = SingleStageROPM(ropm_problem.graph, num_colors=3, config=config)
-    ropm_result = ropm.solve(iterations=iterations, seed=seed + 1)
-    ropm_power = power_model.total_power(
-        ropm_problem.graph.num_nodes, ropm_problem.graph.num_edges
-    )
+    # Both baseline rows run on the comparison board: one init + anneal +
+    # lock triple per run (SingleStageROPM.run_time, ROIMMaxCut.run_time).
+    board = jobs[-1].instance.build()
+    board_power = power_model.total_power(board.num_nodes, board.num_edges)
+    single_stage_time = base.timing.total_for_stages(1)
     table.add_row(
         ComparisonRow(
             label="Single-stage 3-SHIL ROPM [14]-style",
             solver_type="Potts",
             solved_cop="3-coloring",
             technology="CMOS 65nm GP (modeled)",
-            spins=ropm_problem.graph.num_nodes,
-            average_power_w=ropm_power,
-            time_to_solution_s=ropm.run_time,
+            spins=board.num_nodes,
+            average_power_w=board_power,
+            time_to_solution_s=single_stage_time,
             accuracy_range=accuracy_range_text(
-                float(ropm_result.accuracies.min()), float(ropm_result.accuracies.max())
+                float(ropm_accuracies.min()), float(ropm_accuracies.max())
             ),
             baseline="Exact solution",
             source="measured",
         )
-    )
-
-    # ----------------------------------------------------------------- ROIM row
-    roim_problem = scaled_problem(comparison_nodes, scale=scale)
-    # Normalize the ROIM cut against the King's-graph reference striping cut
-    # (the cut the exact 4-coloring induces), mirroring how the hardware ROIMs
-    # are scored against a heuristic reference rather than the unattainable
-    # total edge count.
-    from repro.ising import kings_graph_reference_cut
-
-    roim_reference = kings_graph_reference_cut(roim_problem.rows, roim_problem.cols)
-    roim = ROIMMaxCut(roim_problem.graph, config=config, reference_cut=roim_reference)
-    roim_results = roim.solve(iterations=iterations, seed=seed + 2)
-    roim_accuracies = np.array([item.accuracy for item in roim_results])
-    roim_power = power_model.total_power(
-        roim_problem.graph.num_nodes, roim_problem.graph.num_edges
     )
     table.add_row(
         ComparisonRow(
@@ -175,9 +209,9 @@ def run_table2(
             solver_type="Ising",
             solved_cop="Max-Cut",
             technology="CMOS 65nm GP (modeled)",
-            spins=roim_problem.graph.num_nodes,
-            average_power_w=roim_power,
-            time_to_solution_s=roim.run_time,
+            spins=board.num_nodes,
+            average_power_w=board_power,
+            time_to_solution_s=single_stage_time,
             accuracy_range=accuracy_range_text(
                 float(roim_accuracies.min()), float(roim_accuracies.max())
             ),
@@ -189,6 +223,6 @@ def run_table2(
     return Table2Result(
         table=table,
         msropm_accuracies=msropm_result.accuracies,
-        ropm_accuracies=ropm_result.accuracies,
+        ropm_accuracies=ropm_accuracies,
         roim_accuracies=roim_accuracies,
     )

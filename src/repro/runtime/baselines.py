@@ -3,17 +3,18 @@
 Before the polymorphic job protocol, the scenario matrix ran its baseline
 column serially in the parent process while the MSROPM column sharded across
 the worker pool.  :class:`BaselineJob` closes that gap: one baseline solver's
-best-of-N run on one workload instance, content-hashed like a solve job, so
+N runs on one workload instance, content-hashed like a solve job, so
 baselines cache, deduplicate and shard exactly like MSROPM solves — and a
-campaign stage can schedule them alongside solve jobs in the same batch.
+campaign stage can schedule them alongside solve jobs in the same batch.  The
+scenario matrix reads a job's best run; Table 2 reads its whole per-run
+series.
 
 A job carries the :class:`~repro.workloads.registry.WorkloadInstance` (a small
 declarative value object — the graph itself is rebuilt in the worker from the
 content-addressed spec) plus the baseline name, budget, derived seed and the
 reference cut its accuracy normalizes against.  Results are raw accuracy
-ratios with the same conventions as the parent-process path they replace:
-``None`` when the baseline does not apply to the workload kind, unclipped
-ratios that may exceed 1.0 against heuristic references.
+ratios: ``None`` when the baseline does not apply to the workload kind,
+unclipped ratios that may exceed 1.0 against heuristic references.
 
 Weighted workloads (families with a ``weights_provider``) are scored against
 their weighted cut: the worker re-derives the per-edge weights from the
@@ -24,7 +25,7 @@ identically.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import MSROPMConfig
 from repro.runtime.jobs import JOB_SCHEMA_VERSION, Job
@@ -87,14 +88,15 @@ def run_baseline(
     iterations: int,
     seed: int,
     reference_cut: Optional[float] = None,
-) -> Optional[float]:
-    """Run one baseline on one instance; ``None`` when it does not apply.
+) -> Optional[List[float]]:
+    """Run one baseline on one instance: its per-run accuracies, in run order.
 
-    Every baseline gets the same ``iterations`` budget as the MSROPM and
-    reports its best run, so the matrix compares best-of-N against best-of-N.
-    ``seed`` is the fully derived per-(baseline, instance) seed — the caller
-    decorrelates it from the MSROPM solve seed — which makes the result a
-    pure function of the job's content.
+    ``None`` when the baseline does not apply.  Every baseline gets the same
+    ``iterations`` budget as the MSROPM, so a best-of over the series
+    compares best-of-N against best-of-N.  ``seed`` is the fully derived
+    per-(baseline, instance) seed — the caller decorrelates it from the
+    MSROPM solve seed — which makes the result a pure function of the job's
+    content.
     """
     from repro.rng import iteration_seeds
 
@@ -109,22 +111,22 @@ def run_baseline(
         if baseline == "sa":
             from repro.baselines.simulated_annealing import anneal_coloring
 
-            return max(
+            return [
                 anneal_coloring(graph, instance.num_colors, seed=s).accuracy(graph)
                 for s in run_seeds
-            )
+            ]
         if baseline == "tabu":
             from repro.baselines.tabu import tabucol
 
-            return max(
+            return [
                 tabucol(graph, instance.num_colors, seed=s).accuracy(graph)
                 for s in run_seeds
-            )
+            ]
         if baseline == "single_stage":
             from repro.baselines.single_stage_ropm import SingleStageROPM
 
             machine = SingleStageROPM(graph, num_colors=instance.num_colors, config=config)
-            return float(machine.solve(iterations=iterations, seed=seed).best_accuracy)
+            return machine.solve(iterations=iterations, seed=seed).accuracies.tolist()
         return None  # ROIM solves max-cut, not coloring
     # ------------------------------------------------------------ max-cut kind
     weights = instance.edge_weights(graph)
@@ -133,39 +135,44 @@ def run_baseline(
         from repro.ising.maxcut import MaxCutProblem
 
         problem = MaxCutProblem(graph, weights=weights)
-        return max(
+        return [
             problem.accuracy(anneal_maxcut(problem, seed=s), reference_cut=reference_cut)
             for s in run_seeds
-        )
+        ]
     if baseline == "roim":
         from repro.baselines.roim_maxcut import ROIMMaxCut
 
         roim = ROIMMaxCut(graph, config=config, reference_cut=reference_cut, weights=weights)
-        return float(roim.best_of(iterations=iterations, seed=seed).accuracy)
+        return [item.accuracy for item in roim.solve(iterations=iterations, seed=seed)]
     if baseline == "single_stage":
         from repro.baselines.single_stage_ropm import SingleStageROPM
 
         machine = SingleStageROPM(graph, num_colors=instance.num_colors, config=config)
         result = machine.solve(iterations=iterations, seed=seed)
         if weights is None:
-            return cut_ratio(float(result.best_accuracy), graph.num_edges, reference_cut)
+            return [
+                cut_ratio(value, graph.num_edges, reference_cut) for value in result.accuracies
+            ]
         from repro.ising.maxcut import MaxCutProblem
 
         problem = MaxCutProblem(graph, weights=weights)
-        return max(
+        return [
             coloring_cut_ratio(problem, graph, item.coloring, reference_cut)
             for item in result.iterations
-        )
+        ]
     return None  # TabuCol colors, it does not cut
 
 
 @dataclass(frozen=True)
 class BaselineJob(Job):
-    """One baseline solver's best-of-N run on one workload instance.
+    """One baseline solver's N runs on one workload instance.
 
     ``seed`` is the derived per-(baseline, instance) seed; ``reference_cut``
     is the normalization of max-cut accuracies (part of the content hash —
-    change the reference and the job legitimately recomputes).
+    change the reference and the job legitimately recomputes).  The payload
+    holds the per-run series (``accuracies``) and its best run
+    (``accuracy = max(accuracies)``); both are ``None`` when the baseline
+    does not apply.
     """
 
     instance: WorkloadInstance
@@ -203,8 +210,8 @@ class BaselineJob(Job):
         return f"{self.baseline}:{self.instance.label}/i{self.iterations}/s{self.seed}"
 
     # ------------------------------------------------------------------
-    def run(self) -> Optional[float]:
-        """Execute the baseline in-process and return its raw accuracy ratio."""
+    def run(self) -> Optional[List[float]]:
+        """Execute the baseline in-process and return its per-run accuracies."""
         return run_baseline(
             self.instance,
             self.baseline,
@@ -215,18 +222,22 @@ class BaselineJob(Job):
         )
 
     def execute(self) -> Dict:
-        value = self.run()
-        # Coerce to a plain float: the payload must serialize as JSON (cache
+        series = self.run()
+        if series is None:
+            return {"baseline": self.baseline, "accuracy": None, "accuracies": None}
+        # Coerce to plain floats: the payload must serialize as JSON (cache
         # entries) no matter what numeric type the baseline solver returned.
-        return {"baseline": self.baseline, "accuracy": None if value is None else float(value)}
+        accuracies = [float(value) for value in series]
+        return {"baseline": self.baseline, "accuracy": max(accuracies), "accuracies": accuracies}
 
     def decode(self, payload: Dict) -> Dict:
         return payload
 
     def validate(self, result: Dict) -> bool:
-        """A cached entry must be this baseline's payload shape."""
+        """A cached entry must be this baseline's payload shape (per-run series included)."""
         return (
             isinstance(result, dict)
             and result.get("baseline") == self.baseline
             and "accuracy" in result
+            and "accuracies" in result
         )

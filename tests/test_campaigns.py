@@ -445,6 +445,48 @@ class TestBaselineJobs:
         for a, b in zip(serial.rows, parallel.rows):
             assert a.baselines == b.baselines
 
+    #: Best-of-3 accuracies each baseline returned (seed 7, the default
+    #: config) when a job's payload held only its best run; ``None`` where
+    #: the baseline does not apply.
+    BEST_OF_3 = {
+        ("dimacs", 1): {"sa": 0.9859154929577465, "tabu": 0.9859154929577465,
+                        "roim": None, "single_stage": 0.9577464788732395},
+        ("maxcut", 1): {"sa": 1.0, "tabu": None, "roim": 1.0, "single_stage": 1.0},
+        ("wmaxcut", 0): {"sa": 0.7613065326633166, "tabu": None,
+                         "roim": 0.7537688442211056, "single_stage": 0.7537688442211056},
+    }
+
+    @pytest.mark.parametrize("family,index", sorted(BEST_OF_3))
+    def test_payload_series_keeps_the_best_of(self, family, index):
+        from repro.experiments.problems import default_config
+
+        instance = default_workload(family).expand()[index]
+        config = default_config(2025).with_updates(num_colors=instance.num_colors)
+        for baseline, expected in self.BEST_OF_3[(family, index)].items():
+            job = BaselineJob(
+                instance=instance, baseline=baseline, config=config, iterations=3,
+                seed=7, reference_cut=instance.reference().reference_cut,
+            )
+            payload = job.execute()
+            assert job.validate(payload)
+            if expected is None:
+                assert payload["accuracy"] is None and payload["accuracies"] is None
+                continue
+            assert len(payload["accuracies"]) == 3
+            assert payload["accuracy"] == max(payload["accuracies"]) == expected
+
+    def test_entry_without_series_is_stale_and_recomputed(self, fast_config, tmp_path):
+        job = next(j for j in _dimacs_baseline_jobs(fast_config) if j.baseline == "single_stage")
+        fresh = job.execute()
+        with ExperimentRunner(cache_dir=tmp_path) as runner:
+            # An entry in the shape before the per-run series was stored.
+            runner.cache.store(job, {"baseline": job.baseline, "accuracy": fresh["accuracy"]})
+        with ExperimentRunner(cache_dir=tmp_path) as runner:
+            assert runner.run_jobs([job]) == [fresh]
+            stats = runner.stats()
+        assert stats["cache_stale_misses"] == 1
+        assert stats["jobs_run"] == 1 and stats["cache_stores"] == 1
+
 
 # ----------------------------------------------------------------------
 # Weighted max-cut family

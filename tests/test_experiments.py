@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,36 @@ class TestTable2:
         assert result.msropm_accuracies.shape == (3,)
         assert result.ropm_accuracies.shape == (3,)
         assert result.roim_accuracies.shape == (3,)
+
+    #: SHA-256 of ``render()`` and of the three accuracy series at
+    #: ``PINNED_KWARGS``, recorded when the baseline rows still ran in-process.
+    PINNED_KWARGS = dict(msropm_nodes=1024, comparison_nodes=400, iterations=4, scale=0.1, seed=15)
+    PINNED_DIGESTS = {
+        "exact": (
+            "88392d688279a826de969468fc829e230d5b5941a25c0656045201345e85a681",
+            "f72b46785e64039dac042b72cc7061207f55b30397209432186b276cb9a1c5da",
+        ),
+        "throughput": (
+            "2bf9a0ef5f0b579eb6950d7d66b812333584d33303e0f42c04aea9377efb0215",
+            "50e48e060f097a5d78e696029490b9688b58c41b661e3540b142fe5f4d3d6945",
+        ),
+    }
+
+    @pytest.mark.parametrize("precision", ["exact", "throughput"])
+    def test_report_is_pinned(self, precision):
+        """Running the rows as runner jobs changes no byte of the report."""
+        result = run_table2(precision=precision, **self.PINNED_KWARGS)
+        series = repr(
+            (
+                result.msropm_accuracies.tolist(),
+                result.ropm_accuracies.tolist(),
+                result.roim_accuracies.tolist(),
+            )
+        )
+        digests = tuple(
+            hashlib.sha256(text.encode()).hexdigest() for text in (result.render(), series)
+        )
+        assert digests == self.PINNED_DIGESTS[precision]
 
     def test_msropm_outperforms_single_stage_on_its_problem(self, fast_config):
         """The paper's architectural claim: multi-stage beats single-stage N-SHIL."""

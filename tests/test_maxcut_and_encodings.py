@@ -11,6 +11,8 @@ from repro.graphs import (
     cycle_graph,
     kings_graph,
 )
+from repro.graphs.coloring import kings_graph_reference_coloring
+from repro.graphs.partition import cut_size, partition_from_coloring_bit
 from repro.ising import (
     MaxCutProblem,
     cut_from_ising_energy,
@@ -98,6 +100,15 @@ class TestMaxCut:
         """The reference cut keeps horizontal edges and cuts vertical + diagonal ones."""
         expected = cols * (rows - 1) + 2 * (rows - 1) * (cols - 1)
         assert kings_graph_reference_cut(rows, cols) == expected
+
+    def test_kings_reference_cut_matches_the_striping_of_the_built_board(self):
+        """The closed form equals the graph-based cut of the reference coloring's high bit."""
+        for rows in range(1, 13):
+            for cols in range(1, 13):
+                coloring = kings_graph_reference_coloring(rows, cols)
+                partition = partition_from_coloring_bit(coloring.assignment, bit=1)
+                expected = cut_size(kings_graph(rows, cols), partition)
+                assert kings_graph_reference_cut(rows, cols) == expected, (rows, cols)
 
     def test_kings_reference_cut_validation(self):
         with pytest.raises(ReproError):

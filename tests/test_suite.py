@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.suite import plan_suite_requests, run_suite
-from repro.runtime.jobs import SolveJob
+from repro.baselines.roim_maxcut import ROIMMaxCut
+from repro.baselines.single_stage_ropm import SingleStageROPM
+from repro.campaigns import RunLedger, get_campaign, ledger_root, run_campaign
+from repro.experiments.suite import plan_suite_jobs, run_suite
+from repro.experiments.table2_comparison import run_table2
+from repro.runtime.baselines import BaselineJob
 from repro.runtime.runner import ExperimentRunner
 
 #: Tiny-but-real suite shape used by all tests here.
@@ -18,6 +22,8 @@ def _suite_accuracy_fingerprint(result):
     return (
         [(row.problem_name, row.top_accuracy, row.mean_accuracy, row.num_exact) for row in result.table1.rows],
         result.table2.msropm_accuracies.tolist(),
+        result.table2.ropm_accuracies.tolist(),
+        result.table2.roim_accuracies.tolist(),
         [
             (series.problem_name, series.coloring_accuracies.tolist(), series.maxcut_accuracies.tolist())
             for series in result.figure5.series
@@ -27,19 +33,18 @@ def _suite_accuracy_fingerprint(result):
 
 class TestSuitePlanning:
     def test_plan_covers_all_experiments(self):
-        requests = plan_suite_requests(**SUITE_KWARGS)
-        # 4 Table 1 problems + 1 Table 2 headline row + 3 Figure 5 problems.
-        assert len(requests) == 8
+        jobs = plan_suite_jobs(ExperimentRunner(), **SUITE_KWARGS)
+        # 4 Table 1 problems + 1 Table 2 headline row + 3 Figure 5 problems,
+        # plus Table 2's single-stage ROPM and ROIM baseline rows.
+        assert len(jobs) == 10
+        assert [job.baseline for job in jobs if isinstance(job, BaselineJob)] == [
+            "single_stage",
+            "roim",
+        ]
 
     def test_fig5_jobs_dedupe_against_table1(self):
         """Fig. 5 replots Table 1's sizes under the same seeds: same hashes."""
-        requests = plan_suite_requests(**SUITE_KWARGS)
-        hashes = [
-            SolveJob(
-                spec=r.spec, config=r.config, seed=r.seed, total_iterations=r.iterations
-            ).job_hash
-            for r in requests
-        ]
+        hashes = [job.job_hash for job in plan_suite_jobs(ExperimentRunner(), **SUITE_KWARGS)]
         # The three Figure 5 jobs are hash-identical to three Table 1 jobs.
         assert len(hashes) - len(set(hashes)) == 3
 
@@ -52,8 +57,9 @@ class TestSuiteExecution:
         assert "MSROPM (this work)" in text
         assert "Figure 5(a)" in text
         assert "suite finished" in text
-        # Deduplication: 8 planned requests, 5 distinct jobs actually solved.
-        assert result.runner_stats["jobs_run"] == 5
+        # Deduplication: 10 planned jobs, 7 distinct ones actually run (5
+        # solves and Table 2's two baseline rows).
+        assert result.runner_stats["jobs_run"] == 7
 
     def test_parallel_suite_bit_identical_to_serial_and_warm_cache_skips(self, tmp_path):
         """The PR's acceptance property at test scale: workers=4 == workers=1,
@@ -66,5 +72,42 @@ class TestSuiteExecution:
         warm_runner = ExperimentRunner(workers=4, cache_dir=tmp_path)
         warm = run_suite(runner=warm_runner, **SUITE_KWARGS)
         assert warm.runner_stats["jobs_run"] == 0
-        assert warm.runner_stats["cache_hits"] == 5
+        assert warm.runner_stats["cache_hits"] == 7
         assert _suite_accuracy_fingerprint(serial) == _suite_accuracy_fingerprint(warm)
+
+
+class TestWarmSuiteSimulatesNothing:
+    @staticmethod
+    def _campaign(cache_dir):
+        with ExperimentRunner(workers=1, cache_dir=cache_dir) as runner:
+            result = run_campaign(
+                get_campaign("suite"), dict(SUITE_KWARGS), runner=runner,
+                ledger=RunLedger(ledger_root(cache_dir)),
+            )
+        return result.final_output
+
+    @staticmethod
+    def _suite(cache_dir):
+        with ExperimentRunner(workers=1, cache_dir=cache_dir) as runner:
+            return run_suite(runner=runner, **SUITE_KWARGS)
+
+    @pytest.mark.parametrize("cold_entry", ["_campaign", "_suite"])
+    def test_warm_rerun_runs_no_baseline(self, cold_entry, tmp_path, monkeypatch):
+        """Either cold entry point warms every Table 2 row for the others: a
+        warm campaign, ``run_suite`` and ``run_table2`` on that cache run no
+        job, and the Table 2 render is byte-identical to the cold one."""
+        cold = getattr(self, cold_entry)(tmp_path)
+        assert cold.runner_stats["jobs_run"] == 7
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("a warm run simulated a baseline row")
+
+        monkeypatch.setattr(SingleStageROPM, "_run", simulate)
+        monkeypatch.setattr(ROIMMaxCut, "_run", simulate)
+        for warm in (self._campaign(tmp_path), self._suite(tmp_path)):
+            assert warm.runner_stats["jobs_run"] == 0
+            assert warm.table2.render() == cold.table2.render()
+        with ExperimentRunner(workers=1, cache_dir=tmp_path) as runner:
+            table2 = run_table2(runner=runner, **SUITE_KWARGS)
+            assert runner.stats()["jobs_run"] == 0
+        assert table2.render() == cold.table2.render()
