@@ -75,17 +75,27 @@ Inspect and maintain the artifact store (the content-addressed result cache)::
     msropm cache gc --drop-unreferenced
     msropm cache export results.tar.gz
     msropm cache import results.tar.gz
+
+The parser is built from two tables: ``FLAGS`` declares every flag once (its
+``add_argument`` keywords) and ``COMMANDS`` holds one row per command (path,
+help, flags, handler).  Adding a flag is one ``FLAGS`` entry; adding a
+subcommand is one ``COMMANDS`` row naming its flags and its handler.  A library
+error (:class:`~repro.exceptions.ReproError`) ends the command with one
+``msropm: error:`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.reporting import format_table, summarize_campaign_totals
+from repro.campaigns import campaign_names
 from repro.core.config import MSROPMConfig
+from repro.exceptions import ReproError
 from repro.experiments.fig3_waveforms import render_figure3, run_figure3
 from repro.experiments.fig5_accuracy import render_figure5, run_figure5
 from repro.experiments.scenario_matrix import SCENARIO_BASELINES, run_scenario_matrix
@@ -103,55 +113,171 @@ from repro.runtime.spool import (
     JobSpool,
     run_fleet_worker,
 )
+from repro.service.ratelimit import DEFAULT_BURST, DEFAULT_RATE
 from repro.workloads import default_workload, family_names, get_family, iter_families
 
-
-def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the experiment-runtime flags shared by all solve-heavy commands."""
-    parser.add_argument(
-        "--workers",
+# Every flag, declared once as its ``add_argument`` keywords.  A command row
+# may override a keyword where that command's default or meaning differs.
+FLAGS = {
+    # Problem and experiment knobs.
+    "--rows": dict(type=int, default=7, help="board side length (rows == cols)"),
+    "--graph": dict(
+        help="solve this DIMACS .col (or graph JSON) instance instead of a King's board"
+    ),
+    "--colors": dict(type=int, default=4, help="number of colors (power of two)"),
+    "--iterations": dict(type=int, help="override iteration count"),
+    "--seed": dict(type=int, default=2025, help="base RNG seed"),
+    "--precision": dict(
+        choices=("exact", "throughput"),
+        default="exact",
+        help="precision tier (exact keeps the bit-identity contract; "
+        "throughput runs float32 state with one batched noise stream — "
+        "statistically equivalent accuracy, validated by 'msropm "
+        "equivalence'; CI gates its whole-solve speedup at >= 2.5x)",
+    ),
+    "--scale": dict(type=float, default=1.0, help="problem/iteration scale in (0, 1]"),
+    "--family": dict(
+        help="comma-separated workload families of the scenario matrix (default: the "
+        f"whole zoo; registered: {', '.join(family_names())})",
+    ),
+    "--baselines": dict(
+        default=",".join(SCENARIO_BASELINES),
+        help="comma-separated baselines of the scenario matrix "
+        f"(subset of: {', '.join(SCENARIO_BASELINES)}; empty string skips all)",
+    ),
+    "--tolerance": dict(
+        type=float, help="equivalence margin on the mean-accuracy difference (default 0.05)"
+    ),
+    # Experiment runtime.
+    "--workers": dict(
+        type=int, default=1, help="worker processes for the job scheduler (1 = run in-process)"
+    ),
+    "--cache-dir": dict(
+        help="cache directory holding the result cache, the campaign ledgers and "
+        "the service endpoint record (default: $MSROPM_CACHE_DIR or ~/.cache/msropm)",
+    ),
+    "--no-cache": dict(action="store_true", help="disable the on-disk result cache for this run"),
+    "--replica-chunk": dict(
         type=int,
-        default=1,
-        help="worker processes for the job scheduler (1 = run in-process)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory of the content-addressed result cache "
-        "(default: $MSROPM_CACHE_DIR or ~/.cache/msropm)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache for this run",
-    )
-    parser.add_argument(
-        "--replica-chunk",
-        type=int,
-        default=None,
         help="split each solve into jobs of at most this many iterations "
         "(chunk boundaries are independent of --workers, so cache keys are too)",
-    )
-    parser.add_argument(
-        "--executor",
+    ),
+    "--executor": dict(
         choices=EXECUTOR_NAMES,
         default="local",
         help="executor backend: 'local' runs a warm process pool on this host; "
         "'spool' drains jobs through a shared filesystem spool that external "
         "'msropm fleet worker' processes steal from (results bit-identical)",
-    )
-    parser.add_argument(
-        "--spool-dir",
-        default=None,
-        help="shared spool directory for --executor spool",
-    )
-    parser.add_argument(
-        "--lease-timeout",
+    ),
+    "--spool-dir": dict(help="shared spool directory for --executor spool"),
+    "--lease-timeout": dict(
         type=float,
         default=DEFAULT_LEASE_TIMEOUT,
-        help="seconds before a dead fleet worker's claim is reclaimed "
-        f"(spool executor; default {DEFAULT_LEASE_TIMEOUT:g})",
-    )
+        help="seconds before a fleet worker's unrefreshed spool claim is reclaimed "
+        f"(default {DEFAULT_LEASE_TIMEOUT:g})",
+    ),
+    # Campaigns.
+    "name": dict(help=f"campaign name (registered: {', '.join(campaign_names())})"),
+    "run_id": dict(help="run id (see 'campaign list')"),
+    "--run-id": dict(help="explicit run id (default: generated)"),
+    "--event-log": dict(help="also append every ledger event as one JSON line to this file"),
+    "--webhook": dict(
+        help="also POST every ledger event as JSON to this http(s) URL "
+        "(best-effort; delivery failures never fail the run)",
+    ),
+    "--interval": dict(type=float, default=1.0, help="seconds between ledger polls (default 1.0)"),
+    "--once": dict(action="store_true", help="render a single frame and exit (scripting/CI mode)"),
+    "--metrics-out": dict(help="also write this process's metrics-spine JSON snapshot to PATH"),
+    # Fleet.
+    "spool_dir": dict(help="the shared spool directory"),
+    "--wait": dict(
+        action="store_true",
+        help="keep polling for new work after the spool drains "
+        "(exit on 'fleet stop' or --idle-timeout); default: exit once drained",
+    ),
+    "--idle-timeout": dict(type=float, help="exit after this many seconds of continuous idleness"),
+    "--max-jobs": dict(type=int, help="exit after executing this many jobs"),
+    "--poll-interval": dict(
+        type=float,
+        default=DEFAULT_POLL_INTERVAL,
+        help=f"seconds between idle spool scans (default {DEFAULT_POLL_INTERVAL:g})",
+    ),
+    "--quiet": dict(action="store_true", help="suppress per-job progress lines"),
+    "--clear": dict(
+        action="store_true", help="remove the stop marker instead, so new workers keep waiting"
+    ),
+    # Artifact store.
+    "bundle": dict(help="path of the bundle file"),
+    "--prune": dict(action="store_true", help="delete corrupt entries as found"),
+    "--drop-unreferenced": dict(
+        action="store_true", help="also remove sound job results no campaign ledger references"
+    ),
+    "--no-payloads": dict(
+        action="store_true",
+        help="skip payload namespaces (reference solutions), export job results only",
+    ),
+    # Service and client.
+    "--host": dict(default="127.0.0.1", help="bind address"),
+    "--port": dict(
+        type=int,
+        default=0,
+        help="bind port (0 = pick a free port; the bound port is published in "
+        "the cache dir's service/endpoint.json)",
+    ),
+    "--rate": dict(
+        type=float,
+        default=DEFAULT_RATE,
+        help=f"per-client sustained rate limit in jobs/second (default {DEFAULT_RATE:g})",
+    ),
+    "--burst": dict(
+        type=float,
+        default=DEFAULT_BURST,
+        help=f"per-client burst capacity in jobs (default {DEFAULT_BURST:g})",
+    ),
+    "--max-pending": dict(
+        type=int,
+        default=256,
+        help="in-flight submitted jobs before the submit queue answers "
+        "429 + Retry-After (default 256)",
+    ),
+    "--endpoint": dict(
+        help="service URL, e.g. http://127.0.0.1:8765 (default: discovered "
+        "from the cache dir's service/endpoint.json)",
+    ),
+    "--client-id": dict(default="cli", help="rate-limit identity (default: cli)"),
+    "--scenario-families": dict(
+        help="submit the MSROPM scenario jobs of these comma-separated workload "
+        "families instead of a single solve (empty string = the whole zoo)",
+    ),
+    "--timeout": dict(type=float, default=600.0, help="--wait timeout in seconds"),
+    "ticket": dict(help="ticket id (the job content hash)"),
+    # Developer tooling.
+    "--format": dict(
+        choices=("text", "json"), default="text", help="report format (default: text)"
+    ),
+    "--rule": dict(
+        action="append", metavar="RULE", help="restrict to a checker name or rule id (repeatable)"
+    ),
+    "--root": dict(help="repo root (default: nearest ancestor with pyproject.toml)"),
+    "--force": dict(
+        action="store_true", help="regenerate even when a changed surface's version is unbumped"
+    ),
+    "--check": dict(
+        action="store_true", help="only report whether the manifest is current; write nothing"
+    ),
+}
+
+# Named flag groups that several commands share.
+RUNTIME = ["--workers", "--cache-dir", "--no-cache", "--replica-chunk",
+           "--executor", "--spool-dir", "--lease-timeout"]
+CLIENT = ["--endpoint", "--cache-dir", "--client-id"]
+EXPERIMENT = ["--scale", "--iterations", "--seed", "--precision", *RUNTIME]
+EVENT_SINKS = ["--event-log", "--webhook"]
+
+
+def _csv(text: str) -> List[str]:
+    """The non-empty, stripped items of a comma-separated flag value."""
+    return [name.strip() for name in text.split(",") if name.strip()]
 
 
 def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
@@ -162,497 +288,16 @@ def runner_from_args(args: argparse.Namespace) -> ExperimentRunner:
     on error exits alike — no ``ProcessPoolExecutor`` outlives a command.
     """
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    executor = getattr(args, "executor", "local")
-    executor_options = {}
-    if executor == "spool":
-        executor_options["lease_timeout"] = getattr(
-            args, "lease_timeout", DEFAULT_LEASE_TIMEOUT
-        )
+    executor_options = {"lease_timeout": args.lease_timeout} if args.executor == "spool" else {}
     return ExperimentRunner(
         workers=args.workers,
         cache_dir=cache_dir,
         replica_chunk=args.replica_chunk,
-        executor=executor,
-        spool_dir=getattr(args, "spool_dir", None),
+        executor=args.executor,
+        spool_dir=args.spool_dir,
         executor_options=executor_options,
         max_pending=getattr(args, "max_pending", None),
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser for the ``msropm`` command."""
-    parser = argparse.ArgumentParser(
-        prog="msropm",
-        description="Multi-stage ring-oscillator Potts machine (DATE 2025 reproduction)",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    precision_kwargs = dict(
-        choices=("exact", "throughput"),
-        default="exact",
-        help="precision tier (exact keeps the bit-identity contract; "
-        "throughput runs float32 state with one batched noise stream — "
-        "statistically equivalent accuracy, validated by 'msropm "
-        "equivalence', at a >3x whole-solve speedup)",
-    )
-
-    solve = subparsers.add_parser("solve", help="solve a 4-coloring problem")
-    solve.add_argument("--rows", type=int, default=7, help="board side length (rows == cols)")
-    solve.add_argument(
-        "--graph",
-        default=None,
-        help="solve this DIMACS .col (or graph JSON) instance instead of a King's board",
-    )
-    solve.add_argument("--iterations", type=int, default=10, help="number of repeated runs")
-    solve.add_argument("--colors", type=int, default=4, help="number of colors (power of two)")
-    solve.add_argument("--seed", type=int, default=1, help="base RNG seed")
-    solve.add_argument("--precision", **precision_kwargs)
-    add_runtime_arguments(solve)
-
-    for name, help_text in (
-        ("table1", "reproduce Table 1 (per-problem statistics)"),
-        ("table2", "reproduce Table 2 (prior-work comparison)"),
-        ("fig5", "reproduce Figure 5 (accuracy and Hamming-distance data)"),
-        ("suite", "run the whole evaluation (Tables 1-2, Fig. 5) in one sharded pass"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--scale", type=float, default=1.0, help="problem/iteration scale in (0, 1]")
-        sub.add_argument("--iterations", type=int, default=None, help="override iteration count")
-        sub.add_argument("--seed", type=int, default=2025, help="base RNG seed")
-        sub.add_argument("--precision", **precision_kwargs)
-        add_runtime_arguments(sub)
-
-    fig3 = subparsers.add_parser("fig3", help="reproduce Figure 3 (stage waveforms)")
-    fig3.add_argument("--rows", type=int, default=4, help="board side length of the traced run")
-    fig3.add_argument("--seed", type=int, default=7, help="RNG seed of the traced run")
-
-    workloads = subparsers.add_parser("workloads", help="inspect the workload zoo")
-    workloads_sub = workloads.add_subparsers(dest="workloads_command", required=True)
-    workloads_sub.add_parser("list", help="list the registered workload families")
-    show = workloads_sub.add_parser("show", help="expand one family's default workload")
-    show.add_argument("--family", required=True, help="registered family name (see 'workloads list')")
-    show.add_argument("--seed", type=int, default=2025, help="base seed of the instance seed policy")
-
-    scenarios = subparsers.add_parser(
-        "scenarios", help="run the MSROPM and the baselines across the workload zoo"
-    )
-    scenarios.add_argument(
-        "--family",
-        default=None,
-        help="comma-separated workload families (default: the whole zoo; "
-        f"registered: {', '.join(family_names())})",
-    )
-    scenarios.add_argument(
-        "--iterations", type=int, default=5, help="MSROPM/baseline iterations per instance"
-    )
-    scenarios.add_argument("--seed", type=int, default=2025, help="base RNG seed")
-    scenarios.add_argument(
-        "--baselines",
-        default=",".join(SCENARIO_BASELINES),
-        help="comma-separated baselines to run "
-        f"(subset of: {', '.join(SCENARIO_BASELINES)}; empty string skips all)",
-    )
-    scenarios.add_argument("--precision", **precision_kwargs)
-    add_runtime_arguments(scenarios)
-
-    equivalence = subparsers.add_parser(
-        "equivalence",
-        help="validate the throughput tier: matched exact/throughput ensembles "
-        "compared by KS test and bootstrap CI (exit 1 on failure)",
-    )
-    equivalence.add_argument(
-        "--family",
-        default=None,
-        help="comma-separated workload families to compare "
-        "(default: er,regular; registered: " + ", ".join(family_names()) + ")",
-    )
-    equivalence.add_argument(
-        "--iterations", type=int, default=20, help="iterations per instance and tier"
-    )
-    equivalence.add_argument("--seed", type=int, default=2025, help="base RNG seed")
-    equivalence.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="equivalence margin on the mean-accuracy difference (default 0.05)",
-    )
-    add_runtime_arguments(equivalence)
-
-    from repro.campaigns import campaign_names
-
-    campaign = subparsers.add_parser(
-        "campaign",
-        help="declarative multi-stage campaigns with a persistent run ledger "
-        "and crash-safe resume",
-    )
-    campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
-
-    campaign_run = campaign_sub.add_parser("run", help="start a new campaign run")
-    campaign_run.add_argument(
-        "name", help=f"campaign name (registered: {', '.join(campaign_names())})"
-    )
-    campaign_run.add_argument(
-        "--scale", type=float, default=1.0, help="problem/iteration scale (suite campaign)"
-    )
-    campaign_run.add_argument(
-        "--iterations", type=int, default=None, help="override iteration count"
-    )
-    campaign_run.add_argument("--seed", type=int, default=2025, help="base RNG seed")
-    campaign_run.add_argument("--precision", **precision_kwargs)
-    campaign_run.add_argument(
-        "--family",
-        default=None,
-        help="comma-separated workload families (scenarios campaign; default: whole zoo)",
-    )
-    campaign_run.add_argument(
-        "--baselines",
-        default=None,
-        help="comma-separated baselines (scenarios campaign; empty string skips all)",
-    )
-    campaign_run.add_argument(
-        "--run-id", default=None, help="explicit run id (default: generated)"
-    )
-    add_runtime_arguments(campaign_run)
-
-    campaign_resume = campaign_sub.add_parser(
-        "resume", help="resume a killed or failed campaign run from its ledger"
-    )
-    campaign_resume.add_argument("run_id", help="run id (see 'campaign list')")
-    add_runtime_arguments(campaign_resume)
-
-    for observed_sub in (campaign_run, campaign_resume):
-        observed_sub.add_argument(
-            "--event-log",
-            default=None,
-            help="also append every ledger event as one JSON line to this file",
-        )
-        observed_sub.add_argument(
-            "--webhook",
-            default=None,
-            help="also POST every ledger event as JSON to this http(s) URL "
-            "(best-effort; delivery failures never fail the run)",
-        )
-
-    campaign_status = campaign_sub.add_parser(
-        "status", help="show one run's stage states from its ledger"
-    )
-    campaign_status.add_argument("run_id", help="run id (see 'campaign list')")
-    campaign_status.add_argument(
-        "--cache-dir", default=None, help="cache directory holding the campaign ledgers"
-    )
-
-    campaign_list = campaign_sub.add_parser("list", help="list recorded campaign runs")
-    campaign_list.add_argument(
-        "--cache-dir", default=None, help="cache directory holding the campaign ledgers"
-    )
-
-    campaign_watch = campaign_sub.add_parser(
-        "watch",
-        help="live view of a (possibly still running) campaign, projected "
-        "from its ledger tail",
-    )
-    campaign_watch.add_argument("run_id", help="run id (see 'campaign list')")
-    campaign_watch.add_argument(
-        "--cache-dir", default=None, help="cache directory holding the campaign ledgers"
-    )
-    campaign_watch.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        help="seconds between ledger polls (default 1.0)",
-    )
-    campaign_watch.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit (scripting/CI mode)",
-    )
-
-    campaign_report = campaign_sub.add_parser(
-        "report",
-        help="render a run's report purely from its ledger and the result "
-        "cache (byte-identical across invocations)",
-    )
-    campaign_report.add_argument("run_id", help="run id (see 'campaign list')")
-    campaign_report.add_argument(
-        "--cache-dir", default=None, help="cache directory holding the campaign ledgers"
-    )
-    campaign_report.add_argument(
-        "--metrics-out",
-        default=None,
-        help="also write this process's metrics-spine JSON snapshot to PATH",
-    )
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="work-stealing fleet execution over a shared filesystem spool",
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    fleet_worker = fleet_sub.add_parser(
-        "worker", help="drain jobs from a spool directory (crash-tolerant)"
-    )
-    fleet_worker.add_argument("spool_dir", help="the shared spool directory")
-    fleet_worker.add_argument(
-        "--wait",
-        action="store_true",
-        help="keep polling for new work after the spool drains "
-        "(exit on 'fleet stop' or --idle-timeout); default: exit once drained",
-    )
-    fleet_worker.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        help="exit after this many seconds of continuous idleness",
-    )
-    fleet_worker.add_argument(
-        "--max-jobs", type=int, default=None, help="exit after executing this many jobs"
-    )
-    fleet_worker.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=DEFAULT_LEASE_TIMEOUT,
-        help="seconds before another worker's unrefreshed claim is reclaimed "
-        f"(default {DEFAULT_LEASE_TIMEOUT:g})",
-    )
-    fleet_worker.add_argument(
-        "--poll-interval",
-        type=float,
-        default=DEFAULT_POLL_INTERVAL,
-        help=f"seconds between idle spool scans (default {DEFAULT_POLL_INTERVAL:g})",
-    )
-    fleet_worker.add_argument(
-        "--quiet", action="store_true", help="suppress per-job progress lines"
-    )
-
-    fleet_status = fleet_sub.add_parser(
-        "status", help="show a spool's pending/active/result counts"
-    )
-    fleet_status.add_argument("spool_dir", help="the shared spool directory")
-
-    fleet_stop = fleet_sub.add_parser(
-        "stop", help="ask waiting workers on a spool to exit (place a stop marker)"
-    )
-    fleet_stop.add_argument("spool_dir", help="the shared spool directory")
-    fleet_stop.add_argument(
-        "--clear",
-        action="store_true",
-        help="remove the stop marker instead, so new workers keep waiting",
-    )
-
-    cache = subparsers.add_parser(
-        "cache", help="inspect and maintain the content-addressed artifact store"
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-
-    def _add_cache_dir(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            help="cache directory (default: $MSROPM_CACHE_DIR or ~/.cache/msropm)",
-        )
-
-    cache_stats = cache_sub.add_parser(
-        "stats", help="entry counts and bytes, total and per namespace"
-    )
-    _add_cache_dir(cache_stats)
-
-    cache_verify = cache_sub.add_parser(
-        "verify",
-        help="integrity sweep: re-hash every envelope; exit 1 if corrupt "
-        "entries remain",
-    )
-    _add_cache_dir(cache_verify)
-    cache_verify.add_argument(
-        "--prune", action="store_true", help="delete corrupt entries as found"
-    )
-
-    cache_gc = cache_sub.add_parser(
-        "gc", help="sweep schema-stale and corrupt entries (already read as misses)"
-    )
-    _add_cache_dir(cache_gc)
-    cache_gc.add_argument(
-        "--drop-unreferenced",
-        action="store_true",
-        help="also remove sound job results no campaign ledger references",
-    )
-
-    cache_export = cache_sub.add_parser(
-        "export", help="write verified entries to a portable result bundle (tar.gz)"
-    )
-    _add_cache_dir(cache_export)
-    cache_export.add_argument("bundle", help="path of the bundle file to write")
-    cache_export.add_argument(
-        "--run-id",
-        default=None,
-        help="restrict to the job hashes one campaign run recorded finished",
-    )
-    cache_export.add_argument(
-        "--no-payloads",
-        action="store_true",
-        help="skip payload namespaces (reference solutions), export job results only",
-    )
-
-    cache_import = cache_sub.add_parser(
-        "import",
-        help="merge a bundle into this store (every member integrity-verified first)",
-    )
-    _add_cache_dir(cache_import)
-    cache_import.add_argument("bundle", help="path of the bundle file to read")
-
-    from repro.service.ratelimit import DEFAULT_BURST, DEFAULT_RATE
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the solver service: a long-lived JSON-over-HTTP front door "
-        "on one warm runner (idempotent hash-keyed tickets, request "
-        "coalescing, rate limits and queue backpressure)",
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="bind port (0 = pick a free port; the bound port is published in "
-        "the cache dir's service/endpoint.json)",
-    )
-    serve.add_argument(
-        "--rate",
-        type=float,
-        default=DEFAULT_RATE,
-        help=f"per-client sustained rate limit in jobs/second (default {DEFAULT_RATE:g})",
-    )
-    serve.add_argument(
-        "--burst",
-        type=float,
-        default=DEFAULT_BURST,
-        help=f"per-client burst capacity in jobs (default {DEFAULT_BURST:g})",
-    )
-    serve.add_argument(
-        "--max-pending",
-        type=int,
-        default=256,
-        help="in-flight submitted jobs before the submit queue answers "
-        "429 + Retry-After (default 256)",
-    )
-    add_runtime_arguments(serve)
-
-    client = subparsers.add_parser(
-        "client", help="talk to a running solver service ('msropm serve')"
-    )
-    client_sub = client.add_subparsers(dest="client_command", required=True)
-
-    def _add_client_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--endpoint",
-            default=None,
-            help="service URL, e.g. http://127.0.0.1:8765 (default: discovered "
-            "from the cache dir's service/endpoint.json)",
-        )
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            help="cache directory whose endpoint record locates the service "
-            "(default: $MSROPM_CACHE_DIR or ~/.cache/msropm)",
-        )
-        sub.add_argument(
-            "--client-id", default="cli", help="rate-limit identity (default: cli)"
-        )
-
-    client_submit = client_sub.add_parser(
-        "submit", help="submit a solve or scenarios batch; prints one ticket per job"
-    )
-    _add_client_common(client_submit)
-    client_submit.add_argument(
-        "--scenario-families",
-        default=None,
-        help="submit the MSROPM scenario jobs of these comma-separated workload "
-        "families instead of a single solve (empty string = the whole zoo)",
-    )
-    client_submit.add_argument(
-        "--rows", type=int, default=7, help="board side length of a solve submission"
-    )
-    client_submit.add_argument(
-        "--graph", default=None, help="server-side DIMACS .col path instead of a board"
-    )
-    client_submit.add_argument(
-        "--colors", type=int, default=4, help="number of colors (solve submission)"
-    )
-    client_submit.add_argument("--iterations", type=int, default=None, help="iteration count")
-    client_submit.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    client_submit.add_argument("--precision", **precision_kwargs)
-    client_submit.add_argument(
-        "--wait", action="store_true", help="block until every ticket is terminal"
-    )
-    client_submit.add_argument(
-        "--timeout", type=float, default=600.0, help="--wait timeout in seconds"
-    )
-
-    client_poll = client_sub.add_parser("poll", help="show one ticket's state")
-    _add_client_common(client_poll)
-    client_poll.add_argument("ticket", help="ticket id (the job content hash)")
-
-    client_fetch = client_sub.add_parser(
-        "fetch", help="print a finished ticket's result payload as JSON"
-    )
-    _add_client_common(client_fetch)
-    client_fetch.add_argument("ticket", help="ticket id (the job content hash)")
-
-    client_stats = client_sub.add_parser(
-        "stats", help="print the service's runner/admission counters as JSON"
-    )
-    _add_client_common(client_stats)
-
-    dev = subparsers.add_parser(
-        "dev", help="developer tooling: the repro-lint static analyzer"
-    )
-    dev_sub = dev.add_subparsers(dest="dev_command", required=True)
-
-    dev_lint = dev_sub.add_parser(
-        "lint",
-        help="run the invariant checkers (determinism, schema-hash coupling, "
-        "atomicity, hot-path discipline); exit 1 on findings",
-    )
-    dev_lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    dev_lint.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="RULE",
-        help="restrict to a checker name or rule id (repeatable)",
-    )
-    dev_lint.add_argument(
-        "--root",
-        default=None,
-        help="repo root (default: nearest ancestor with pyproject.toml)",
-    )
-
-    dev_regen = dev_sub.add_parser(
-        "regen-manifest",
-        help="recompute devtools/schema_manifest.json after a schema change "
-        "and its version bump",
-    )
-    dev_regen.add_argument(
-        "--force",
-        action="store_true",
-        help="regenerate even when a changed surface's version is unbumped",
-    )
-    dev_regen.add_argument(
-        "--check",
-        action="store_true",
-        help="only report whether the manifest is current; write nothing",
-    )
-    dev_regen.add_argument(
-        "--root",
-        default=None,
-        help="repo root (default: nearest ancestor with pyproject.toml)",
-    )
-
-    return parser
 
 
 def _run_solve(args: argparse.Namespace) -> int:
@@ -698,27 +343,48 @@ def _run_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_workloads(args: argparse.Namespace) -> int:
-    if args.workloads_command == "list":
-        rows = [
-            [
-                family.name,
-                family.kind,
-                family.num_colors,
-                len(family.default_grid),
-                "yes" if family.seeded else "no",
-                family.description,
-            ]
-            for family in iter_families()
-        ]
-        print(
-            format_table(
-                ("Family", "Kind", "Colors", "Grid points", "Seeded", "Description"),
-                rows,
-                title="Workload zoo",
-            )
+def _run_experiment(run, args: argparse.Namespace, render=lambda result: result.render()) -> int:
+    """``table1``, ``table2``, ``fig5`` and ``suite``: one runner, one report."""
+    with runner_from_args(args) as runner:
+        result = run(
+            scale=args.scale,
+            iterations=args.iterations,
+            seed=args.seed,
+            precision=args.precision,
+            runner=runner,
         )
-        return 0
+    print(render(result))
+    return 0
+
+
+def _run_fig3(args: argparse.Namespace) -> int:
+    print(render_figure3(run_figure3(rows=args.rows, cols=args.rows, seed=args.seed)))
+    return 0
+
+
+def _workloads_list(args: argparse.Namespace) -> int:
+    rows = [
+        [
+            family.name,
+            family.kind,
+            family.num_colors,
+            len(family.default_grid),
+            "yes" if family.seeded else "no",
+            family.description,
+        ]
+        for family in iter_families()
+    ]
+    print(
+        format_table(
+            ("Family", "Kind", "Colors", "Grid points", "Seeded", "Description"),
+            rows,
+            title="Workload zoo",
+        )
+    )
+    return 0
+
+
+def _workloads_show(args: argparse.Namespace) -> int:
     family = get_family(args.family)
     instances = default_workload(family.name, base_seed=args.seed).expand()
     rows = []
@@ -754,16 +420,14 @@ def _run_workloads(args: argparse.Namespace) -> int:
 
 
 def _run_scenarios(args: argparse.Namespace) -> int:
-    families = [name.strip() for name in args.family.split(",") if name.strip()] if args.family else None
-    baselines = [name.strip() for name in args.baselines.split(",") if name.strip()]
     with runner_from_args(args) as runner:
         result = run_scenario_matrix(
-            families=families,
+            families=_csv(args.family) if args.family else None,
             iterations=args.iterations,
             seed=args.seed,
             precision=args.precision,
             runner=runner,
-            baselines=baselines,
+            baselines=_csv(args.baselines),
         )
     print(result.render())
     stats = result.runner_stats
@@ -792,11 +456,7 @@ def _run_equivalence(args: argparse.Namespace) -> int:
         run_equivalence,
     )
 
-    families = (
-        [name.strip() for name in args.family.split(",") if name.strip()]
-        if args.family
-        else list(DEFAULT_EQUIVALENCE_FAMILIES)
-    )
+    families = _csv(args.family) if args.family else list(DEFAULT_EQUIVALENCE_FAMILIES)
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     with runner_from_args(args) as runner:
         result = run_equivalence(
@@ -831,15 +491,13 @@ def _campaign_sinks(args: argparse.Namespace):
     """
     from repro.obs import JsonlFileSink, SinkRouter, WebhookSink
 
-    event_log = getattr(args, "event_log", None)
-    webhook = getattr(args, "webhook", None)
-    if not event_log and not webhook:
+    if not args.event_log and not args.webhook:
         return None
     router = SinkRouter()
-    if event_log:
-        router.add(JsonlFileSink(Path(event_log)))
-    if webhook:
-        router.add(WebhookSink(webhook))
+    if args.event_log:
+        router.add(JsonlFileSink(Path(args.event_log)))
+    if args.webhook:
+        router.add(WebhookSink(args.webhook))
     return router
 
 
@@ -912,7 +570,63 @@ def _campaign_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_campaign_result(result, runner_stats: Optional[dict] = None) -> None:
+def _campaign_list(args: argparse.Namespace) -> int:
+    ledger = _campaign_ledger(args.cache_dir)
+    runs, corrupt = ledger.scan_runs()
+    rows = [
+        [
+            state.run_id,
+            state.campaign,
+            sum(1 for value in state.stage_states.values() if value == "passed"),
+            state.num_finished_jobs,
+            "yes" if state.finished else "no",
+        ]
+        for state in runs
+    ]
+    # Journals that failed to replay still get a row: hiding a rotted run
+    # from the listing would make its disappearance look like deletion.
+    rows.extend(
+        [entry["run_id"], "?", "-", "-", "CORRUPT"] for entry in corrupt
+    )
+    print(
+        format_table(
+            ("Run", "Campaign", "Stages passed", "Jobs recorded", "Finished"),
+            rows,
+            title=f"Campaign runs ({ledger.root})",
+        )
+    )
+    for entry in corrupt:
+        print(f"warning: run {entry['run_id']}: {entry['error']}", file=sys.stderr)
+    return 0
+
+
+def _campaign_status(args: argparse.Namespace) -> int:
+    from repro.campaigns import get_campaign
+
+    state = _campaign_ledger(args.cache_dir).replay(args.run_id)
+    spec = get_campaign(state.campaign)
+    rows = [
+        [
+            stage.name,
+            ", ".join(stage.requires) if stage.requires else "-",
+            state.stage_states.get(stage.name, "not_started"),
+            len(state.finished_jobs.get(stage.name, [])),
+        ]
+        for stage in spec.stages
+    ]
+    print(
+        format_table(
+            ("Stage", "Requires", "State", "Jobs recorded"),
+            rows,
+            title=f"Campaign '{state.campaign}' run {state.run_id}",
+        )
+    )
+    print()
+    print(f"finished: {'yes' if state.finished else 'no'}")
+    return 0
+
+
+def _print_campaign_result(result, runner_stats: dict, sinks) -> int:
     final = result.final_output
     if final is not None and hasattr(final, "render"):
         print(final.render())
@@ -924,86 +638,35 @@ def _print_campaign_result(result, runner_stats: Optional[dict] = None) -> None:
         f"stage(s) passed, {totals['computed']} job(s) computed, "
         f"{totals['served']} served from cache"
     )
-    stale = (runner_stats or {}).get("cache_stale_misses", 0)
+    stale = runner_stats.get("cache_stale_misses", 0)
     if stale:
         print(
             f"note: {stale} stale cache entr{'y' if stale == 1 else 'ies'} "
             "skipped (schema or tier change) and recomputed"
         )
+    _report_sink_errors(sinks)
+    return 0
 
 
-def _run_campaign(args: argparse.Namespace) -> int:
-    from repro.campaigns import get_campaign, resume_campaign, run_campaign
+def _campaign_resume(args: argparse.Namespace) -> int:
+    from repro.campaigns import resume_campaign
 
-    if args.campaign_command == "list":
-        ledger = _campaign_ledger(args.cache_dir)
-        runs, corrupt = ledger.scan_runs()
-        rows = [
-            [
-                state.run_id,
-                state.campaign,
-                sum(1 for value in state.stage_states.values() if value == "passed"),
-                state.num_finished_jobs,
-                "yes" if state.finished else "no",
-            ]
-            for state in runs
-        ]
-        # Journals that failed to replay still get a row: hiding a rotted run
-        # from the listing would make its disappearance look like deletion.
-        rows.extend(
-            [entry["run_id"], "?", "-", "-", "CORRUPT"] for entry in corrupt
-        )
-        print(
-            format_table(
-                ("Run", "Campaign", "Stages passed", "Jobs recorded", "Finished"),
-                rows,
-                title=f"Campaign runs ({ledger.root})",
-            )
-        )
-        for entry in corrupt:
-            print(f"warning: run {entry['run_id']}: {entry['error']}", file=sys.stderr)
-        return 0
-    if args.campaign_command == "watch":
-        return _campaign_watch(args)
-    if args.campaign_command == "report":
-        return _campaign_report(args)
-    if args.campaign_command == "status":
-        ledger = _campaign_ledger(args.cache_dir)
-        state = ledger.replay(args.run_id)
-        spec = get_campaign(state.campaign)
-        rows = [
-            [
-                stage.name,
-                ", ".join(stage.requires) if stage.requires else "-",
-                state.stage_states.get(stage.name, "not_started"),
-                len(state.finished_jobs.get(stage.name, [])),
-            ]
-            for stage in spec.stages
-        ]
-        print(
-            format_table(
-                ("Stage", "Requires", "State", "Jobs recorded"),
-                rows,
-                title=f"Campaign '{state.campaign}' run {state.run_id}",
-            )
-        )
-        print()
-        print(f"finished: {'yes' if state.finished else 'no'}")
-        return 0
     ledger = _campaign_ledger(args.cache_dir)
     sinks = _campaign_sinks(args)
-    if args.campaign_command == "resume":
-        with runner_from_args(args) as runner:
-            result = resume_campaign(
-                args.run_id, ledger, runner=runner, log=print, sinks=sinks
-            )
-            stats = runner.stats()
-        _print_campaign_result(result, stats)
-        _report_sink_errors(sinks)
-        return 0
-    # campaign run.  Only meaningfully-set knobs go into the params — the
-    # orchestrator rejects parameters the chosen campaign does not read, so
-    # e.g. `campaign run suite --family er` fails loudly instead of silently
+    with runner_from_args(args) as runner:
+        result = resume_campaign(args.run_id, ledger, runner=runner, log=print, sinks=sinks)
+        stats = runner.stats()
+    return _print_campaign_result(result, stats, sinks)
+
+
+def _campaign_run(args: argparse.Namespace) -> int:
+    from repro.campaigns import get_campaign, run_campaign
+
+    ledger = _campaign_ledger(args.cache_dir)
+    sinks = _campaign_sinks(args)
+    # Only meaningfully-set knobs go into the params — the orchestrator
+    # rejects parameters the chosen campaign does not read, so e.g.
+    # `campaign run suite --family er` fails loudly instead of silently
     # running the full suite.
     spec = get_campaign(args.name)
     params = {"seed": args.seed, "precision": args.precision}
@@ -1012,11 +675,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
     if args.iterations is not None:
         params["iterations"] = args.iterations
     if args.family:
-        params["families"] = [name.strip() for name in args.family.split(",") if name.strip()]
+        params["families"] = _csv(args.family)
     if args.baselines is not None:
-        params["baselines"] = [
-            name.strip() for name in args.baselines.split(",") if name.strip()
-        ]
+        params["baselines"] = _csv(args.baselines)
     with runner_from_args(args) as runner:
         result = run_campaign(
             spec,
@@ -1028,49 +689,49 @@ def _run_campaign(args: argparse.Namespace) -> int:
             sinks=sinks,
         )
         stats = runner.stats()
-    _print_campaign_result(result, stats)
-    _report_sink_errors(sinks)
+    return _print_campaign_result(result, stats, sinks)
+
+
+def _fleet_worker(args: argparse.Namespace) -> int:
+    counters = run_fleet_worker(
+        args.spool_dir,
+        wait=args.wait,
+        idle_timeout=args.idle_timeout,
+        max_jobs=args.max_jobs,
+        lease_timeout=args.lease_timeout,
+        poll_interval=args.poll_interval,
+        log=None if args.quiet else print,
+    )
+    print(
+        f"fleet worker: {counters['executed']} job(s) executed, "
+        f"{counters['failed']} failed, {counters['reclaimed']} claim(s) reclaimed"
+    )
     return 0
 
 
-def _run_fleet(args: argparse.Namespace) -> int:
-    if args.fleet_command == "worker":
-        log = None if args.quiet else print
-        counters = run_fleet_worker(
-            args.spool_dir,
-            wait=args.wait,
-            idle_timeout=args.idle_timeout,
-            max_jobs=args.max_jobs,
-            lease_timeout=args.lease_timeout,
-            poll_interval=args.poll_interval,
-            log=log,
-        )
-        print(
-            f"fleet worker: {counters['executed']} job(s) executed, "
-            f"{counters['failed']} failed, {counters['reclaimed']} claim(s) reclaimed"
-        )
-        return 0
+def _fleet_status(args: argparse.Namespace) -> int:
     spool = JobSpool(args.spool_dir)
-    if args.fleet_command == "status":
-        if not spool.exists:
-            print(f"{spool.root} is not an initialized spool")
-            return 1
-        counts = spool.counts()
-        print(f"spool {spool.root}")
-        print(f"pending: {counts['pending']}")
-        print(f"active:  {counts['active']}")
-        print(f"results: {counts['results']}")
-        print(f"stop requested: {'yes' if spool.stop_requested else 'no'}")
-        return 0
-    if args.fleet_command == "stop":
-        if args.clear:
-            spool.clear_stop()
-            print(f"stop marker cleared on {spool.root}")
-        else:
-            spool.request_stop()
-            print(f"stop requested on {spool.root} (waiting workers will exit)")
-        return 0
-    raise AssertionError(f"unhandled fleet command {args.fleet_command!r}")
+    if not spool.exists:
+        print(f"{spool.root} is not an initialized spool")
+        return 1
+    counts = spool.counts()
+    print(f"spool {spool.root}")
+    print(f"pending: {counts['pending']}")
+    print(f"active:  {counts['active']}")
+    print(f"results: {counts['results']}")
+    print(f"stop requested: {'yes' if spool.stop_requested else 'no'}")
+    return 0
+
+
+def _fleet_stop(args: argparse.Namespace) -> int:
+    spool = JobSpool(args.spool_dir)
+    if args.clear:
+        spool.clear_stop()
+        print(f"stop marker cleared on {spool.root}")
+    else:
+        spool.request_stop()
+        print(f"stop requested on {spool.root} (waiting workers will exit)")
+    return 0
 
 
 def _human_bytes(count: int) -> str:
@@ -1083,71 +744,80 @@ def _human_bytes(count: int) -> str:
     return f"{count} B"  # pragma: no cover - unreachable
 
 
-def _run_cache(args: argparse.Namespace) -> int:
-    store = ResultCache(args.cache_dir or default_cache_dir())
-    if args.cache_command == "stats":
-        stats = store.stats()
-        rows = [
-            [kind, bucket["entries"], _human_bytes(bucket["bytes"])]
-            for kind, bucket in sorted(stats["kinds"].items())
-        ]
-        rows.append(["total", stats["entries"], _human_bytes(stats["bytes"])])
-        print(
-            format_table(
-                ("Namespace", "Entries", "Size"),
-                rows,
-                title=f"Artifact store {stats['root']} (schema v{stats['cache_schema']})",
-            )
+def _store(args: argparse.Namespace) -> ResultCache:
+    return ResultCache(args.cache_dir or default_cache_dir())
+
+
+def _cache_stats(args: argparse.Namespace) -> int:
+    stats = _store(args).stats()
+    rows = [
+        [kind, bucket["entries"], _human_bytes(bucket["bytes"])]
+        for kind, bucket in sorted(stats["kinds"].items())
+    ]
+    rows.append(["total", stats["entries"], _human_bytes(stats["bytes"])])
+    print(
+        format_table(
+            ("Namespace", "Entries", "Size"),
+            rows,
+            title=f"Artifact store {stats['root']} (schema v{stats['cache_schema']})",
         )
-        return 0
-    if args.cache_command == "verify":
-        report = store.verify(prune=args.prune)
-        print(
-            f"cache verify: {report['ok']} ok, {report['stale']} stale, "
-            f"{report['corrupt']} corrupt ({report['pruned']} pruned)"
-        )
-        for entry in report["corrupt_entries"]:
-            print(f"corrupt: {entry['path']}: {entry['detail']}")
-        return 1 if report["corrupt"] > report["pruned"] else 0
-    if args.cache_command == "gc":
-        referenced = None
-        if args.drop_unreferenced:
-            referenced = _campaign_ledger(args.cache_dir).referenced_job_hashes()
-        removed = store.gc(referenced=referenced)
-        print(
-            f"cache gc: removed {removed['stale']} stale, {removed['corrupt']} corrupt, "
-            f"{removed['unreferenced']} unreferenced; kept {removed['kept']}"
-        )
-        return 0
-    if args.cache_command == "export":
-        job_hashes = None
-        if args.run_id is not None:
-            state = _campaign_ledger(args.cache_dir).replay(args.run_id)
-            job_hashes = {
-                job_hash
-                for hashes in state.finished_jobs.values()
-                for job_hash in hashes
-            }
-        manifest = store.export_bundle(
-            args.bundle,
-            job_hashes=job_hashes,
-            include_payloads=not args.no_payloads,
-        )
-        print(
-            f"cache export: {len(manifest['entries'])} result(s), "
-            f"{len(manifest['payloads'])} payload(s) -> {args.bundle} "
-            f"({manifest['skipped_unsound']} unsound entr"
-            f"{'y' if manifest['skipped_unsound'] == 1 else 'ies'} skipped)"
-        )
-        return 0
-    if args.cache_command == "import":
-        counters = store.import_bundle(args.bundle)
-        print(
-            f"cache import: {counters['imported']} imported, "
-            f"{counters['existing']} already present, {counters['rejected']} rejected"
-        )
-        return 0
-    raise AssertionError(f"unhandled cache command {args.cache_command!r}")
+    )
+    return 0
+
+
+def _cache_verify(args: argparse.Namespace) -> int:
+    report = _store(args).verify(prune=args.prune)
+    print(
+        f"cache verify: {report['ok']} ok, {report['stale']} stale, "
+        f"{report['corrupt']} corrupt ({report['pruned']} pruned)"
+    )
+    for entry in report["corrupt_entries"]:
+        print(f"corrupt: {entry['path']}: {entry['detail']}")
+    return 1 if report["corrupt"] > report["pruned"] else 0
+
+
+def _cache_gc(args: argparse.Namespace) -> int:
+    referenced = None
+    if args.drop_unreferenced:
+        referenced = _campaign_ledger(args.cache_dir).referenced_job_hashes()
+    removed = _store(args).gc(referenced=referenced)
+    print(
+        f"cache gc: removed {removed['stale']} stale, {removed['corrupt']} corrupt, "
+        f"{removed['unreferenced']} unreferenced; kept {removed['kept']}"
+    )
+    return 0
+
+
+def _cache_export(args: argparse.Namespace) -> int:
+    job_hashes = None
+    if args.run_id is not None:
+        state = _campaign_ledger(args.cache_dir).replay(args.run_id)
+        job_hashes = {
+            job_hash
+            for hashes in state.finished_jobs.values()
+            for job_hash in hashes
+        }
+    manifest = _store(args).export_bundle(
+        args.bundle,
+        job_hashes=job_hashes,
+        include_payloads=not args.no_payloads,
+    )
+    print(
+        f"cache export: {len(manifest['entries'])} result(s), "
+        f"{len(manifest['payloads'])} payload(s) -> {args.bundle} "
+        f"({manifest['skipped_unsound']} unsound entr"
+        f"{'y' if manifest['skipped_unsound'] == 1 else 'ies'} skipped)"
+    )
+    return 0
+
+
+def _cache_import(args: argparse.Namespace) -> int:
+    counters = _store(args).import_bundle(args.bundle)
+    print(
+        f"cache import: {counters['imported']} imported, "
+        f"{counters['existing']} already present, {counters['rejected']} rejected"
+    )
+    return 0
 
 
 def _run_serve(args: argparse.Namespace) -> int:
@@ -1173,156 +843,218 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
 
 
-def _run_client(args: argparse.Namespace) -> int:
-    import json
-
+def _service_client(args: argparse.Namespace):
     from repro.service.client import ServiceClient, discover_endpoint
 
     endpoint = args.endpoint or discover_endpoint(args.cache_dir or default_cache_dir())
-    client = ServiceClient(endpoint, client_id=args.client_id)
-    if args.client_command == "submit":
-        spec: dict = {}
-        if args.scenario_families is not None:
-            spec["kind"] = "scenarios"
-            families = [
-                name.strip() for name in args.scenario_families.split(",") if name.strip()
-            ]
-            if families:
-                spec["families"] = families
-        else:
-            spec["kind"] = "solve"
-            spec["rows"] = args.rows
-            spec["colors"] = args.colors
-            if args.graph is not None:
-                spec["graph"] = args.graph
-        spec["precision"] = args.precision
-        if args.iterations is not None:
-            spec["iterations"] = args.iterations
-        if args.seed is not None:
-            spec["seed"] = args.seed
-        tickets = client.submit([spec])
-        for ticket in tickets:
-            print(f"ticket {ticket['ticket_id']} {ticket['state']} ({ticket['source']})")
-        if not args.wait:
-            return 0
-        ticket_ids = list(dict.fromkeys(ticket["ticket_id"] for ticket in tickets))
-        states = client.wait(ticket_ids, timeout=args.timeout)
-        done = sum(1 for payload in states.values() if payload.get("state") == "done")
-        failed = sum(1 for payload in states.values() if payload.get("state") == "failed")
-        for ticket_id in ticket_ids:
-            payload = states[ticket_id]
-            line = f"final {ticket_id} {payload.get('state')} ({payload.get('source')})"
-            if payload.get("error"):
-                line += f": {payload['error']}"
-            print(line)
-        print(f"client submit: {len(ticket_ids)} ticket(s), {done} done, {failed} failed")
-        return 1 if failed else 0
-    if args.client_command == "poll":
-        print(json.dumps(client.poll(args.ticket), indent=2, sort_keys=True))
-        return 0
-    if args.client_command == "fetch":
-        payload = client.fetch(args.ticket)
-        print(json.dumps(payload["result"], indent=2, sort_keys=True))
-        return 0
-    if args.client_command == "stats":
-        print(json.dumps(client.stats(), indent=2, sort_keys=True))
-        return 0
-    raise AssertionError(f"unhandled client command {args.client_command!r}")
+    return ServiceClient(endpoint, client_id=args.client_id)
 
 
-def _run_dev(args: argparse.Namespace) -> int:
+def _print_json(payload) -> int:
+    import json
+
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def _client_submit(args: argparse.Namespace) -> int:
+    client = _service_client(args)
+    spec: dict = {}
+    if args.scenario_families is not None:
+        spec["kind"] = "scenarios"
+        families = _csv(args.scenario_families)
+        if families:
+            spec["families"] = families
+    else:
+        spec["kind"] = "solve"
+        spec["rows"] = args.rows
+        spec["colors"] = args.colors
+        if args.graph is not None:
+            spec["graph"] = args.graph
+    spec["precision"] = args.precision
+    if args.iterations is not None:
+        spec["iterations"] = args.iterations
+    if args.seed is not None:
+        spec["seed"] = args.seed
+    tickets = client.submit([spec])
+    for ticket in tickets:
+        print(f"ticket {ticket['ticket_id']} {ticket['state']} ({ticket['source']})")
+    if not args.wait:
+        return 0
+    ticket_ids = list(dict.fromkeys(ticket["ticket_id"] for ticket in tickets))
+    states = client.wait(ticket_ids, timeout=args.timeout)
+    done = sum(1 for payload in states.values() if payload.get("state") == "done")
+    failed = sum(1 for payload in states.values() if payload.get("state") == "failed")
+    for ticket_id in ticket_ids:
+        payload = states[ticket_id]
+        line = f"final {ticket_id} {payload.get('state')} ({payload.get('source')})"
+        if payload.get("error"):
+            line += f": {payload['error']}"
+        print(line)
+    print(f"client submit: {len(ticket_ids)} ticket(s), {done} done, {failed} failed")
+    return 1 if failed else 0
+
+
+def _repo_root(args: argparse.Namespace) -> Path:
     # Imported lazily: the analyzer is developer tooling, and solve-path
     # invocations should not pay for (or depend on) it.
-    from pathlib import Path
+    from repro.devtools.__main__ import find_repo_root
 
-    from repro.devtools.__main__ import (
-        find_repo_root,
-        run_lint_command,
-        run_regen_command,
+    return (Path(args.root) if args.root else find_repo_root()).resolve()
+
+
+def _dev_lint(args: argparse.Namespace) -> int:
+    from repro.devtools.__main__ import run_lint_command
+
+    return run_lint_command(_repo_root(args), args.format, args.rule)
+
+
+def _dev_regen_manifest(args: argparse.Namespace) -> int:
+    from repro.devtools.__main__ import run_regen_command
+
+    return run_regen_command(_repo_root(args), args.force, args.check)
+
+
+# One row per command: (path, help, flags, handler).  A row with no handler is
+# a command group; its subcommands follow it.  A flag is a ``FLAGS`` name, or
+# ``(name, overrides)`` where this command's default, help or requiredness
+# differs.
+COMMANDS = [
+    (("solve",), "solve a 4-coloring problem", [
+        "--rows", "--graph",
+        ("--iterations", dict(default=10, help="number of repeated runs")),
+        "--colors", ("--seed", dict(default=1)), "--precision", *RUNTIME,
+    ], _run_solve),
+    (("table1",), "reproduce Table 1 (per-problem statistics)", EXPERIMENT,
+     partial(_run_experiment, run_table1)),
+    (("table2",), "reproduce Table 2 (prior-work comparison)", EXPERIMENT,
+     partial(_run_experiment, run_table2)),
+    (("fig5",), "reproduce Figure 5 (accuracy and Hamming-distance data)", EXPERIMENT,
+     partial(_run_experiment, run_figure5, render=render_figure5)),
+    (("suite",), "run the whole evaluation (Tables 1-2, Fig. 5) in one sharded pass",
+     EXPERIMENT, partial(_run_experiment, run_suite)),
+    (("fig3",), "reproduce Figure 3 (stage waveforms)",
+     [("--rows", dict(default=4)), ("--seed", dict(default=7))], _run_fig3),
+    (("workloads",), "inspect the workload zoo", [], None),
+    (("workloads", "list"), "list the registered workload families", [], _workloads_list),
+    (("workloads", "show"), "expand one family's default workload", [
+        ("--family", dict(required=True, help="registered family name (see 'workloads list')")),
+        "--seed",
+    ], _workloads_show),
+    (("scenarios",), "run the MSROPM and the baselines across the workload zoo", [
+        "--family",
+        ("--iterations", dict(default=5, help="MSROPM/baseline iterations per instance")),
+        "--seed", "--baselines", "--precision", *RUNTIME,
+    ], _run_scenarios),
+    (("equivalence",), "validate the throughput tier: matched exact/throughput ensembles "
+     "compared by KS test and bootstrap CI (exit 1 on failure)", [
+        ("--family", dict(
+            help="comma-separated workload families to compare "
+            f"(default: er,regular; registered: {', '.join(family_names())})"
+        )),
+        ("--iterations", dict(default=20, help="iterations per instance and tier")),
+        "--seed", "--tolerance", *RUNTIME,
+    ], _run_equivalence),
+    (("campaign",), "declarative multi-stage campaigns with a persistent run ledger "
+     "and crash-safe resume", [], None),
+    (("campaign", "run"), "start a new campaign run", [
+        "name", "--scale", "--iterations", "--seed", "--precision", "--family",
+        ("--baselines", dict(default=None)), "--run-id", *RUNTIME, *EVENT_SINKS,
+    ], _campaign_run),
+    (("campaign", "resume"), "resume a killed or failed campaign run from its ledger",
+     ["run_id", *RUNTIME, *EVENT_SINKS], _campaign_resume),
+    (("campaign", "status"), "show one run's stage states from its ledger",
+     ["run_id", "--cache-dir"], _campaign_status),
+    (("campaign", "list"), "list recorded campaign runs", ["--cache-dir"], _campaign_list),
+    (("campaign", "watch"), "live view of a (possibly still running) campaign, projected "
+     "from its ledger tail", ["run_id", "--cache-dir", "--interval", "--once"],
+     _campaign_watch),
+    (("campaign", "report"), "render a run's report purely from its ledger and the result "
+     "cache (byte-identical across invocations)",
+     ["run_id", "--cache-dir", "--metrics-out"], _campaign_report),
+    (("fleet",), "work-stealing fleet execution over a shared filesystem spool", [], None),
+    (("fleet", "worker"), "drain jobs from a spool directory (crash-tolerant)", [
+        "spool_dir", "--wait", "--idle-timeout", "--max-jobs", "--lease-timeout",
+        "--poll-interval", "--quiet",
+    ], _fleet_worker),
+    (("fleet", "status"), "show a spool's pending/active/result counts", ["spool_dir"],
+     _fleet_status),
+    (("fleet", "stop"), "ask waiting workers on a spool to exit (place a stop marker)",
+     ["spool_dir", "--clear"], _fleet_stop),
+    (("cache",), "inspect and maintain the content-addressed artifact store", [], None),
+    (("cache", "stats"), "entry counts and bytes, total and per namespace", ["--cache-dir"],
+     _cache_stats),
+    (("cache", "verify"), "integrity sweep: re-hash every envelope; exit 1 if corrupt "
+     "entries remain", ["--cache-dir", "--prune"], _cache_verify),
+    (("cache", "gc"), "sweep schema-stale and corrupt entries (already read as misses)",
+     ["--cache-dir", "--drop-unreferenced"], _cache_gc),
+    (("cache", "export"), "write verified entries to a portable result bundle (tar.gz)", [
+        "--cache-dir", "bundle",
+        ("--run-id", dict(help="restrict to the job hashes one campaign run recorded finished")),
+        "--no-payloads",
+    ], _cache_export),
+    (("cache", "import"), "merge a bundle into this store (every member integrity-verified "
+     "first)", ["--cache-dir", "bundle"], _cache_import),
+    (("serve",), "run the solver service: a long-lived JSON-over-HTTP front door "
+     "on one warm runner (idempotent hash-keyed tickets, request "
+     "coalescing, rate limits and queue backpressure)",
+     ["--host", "--port", "--rate", "--burst", "--max-pending", *RUNTIME], _run_serve),
+    (("client",), "talk to a running solver service ('msropm serve')", [], None),
+    (("client", "submit"), "submit a solve or scenarios batch; prints one ticket per job", [
+        *CLIENT, "--scenario-families", "--rows",
+        ("--graph", dict(help="server-side DIMACS .col path instead of a board")),
+        "--colors", "--iterations", ("--seed", dict(default=None)), "--precision",
+        ("--wait", dict(help="block until every ticket is terminal")), "--timeout",
+    ], _client_submit),
+    (("client", "poll"), "show one ticket's state", [*CLIENT, "ticket"],
+     lambda args: _print_json(_service_client(args).poll(args.ticket))),
+    (("client", "fetch"), "print a finished ticket's result payload as JSON", [*CLIENT, "ticket"],
+     lambda args: _print_json(_service_client(args).fetch(args.ticket)["result"])),
+    (("client", "stats"), "print the service's runner/admission counters as JSON", CLIENT,
+     lambda args: _print_json(_service_client(args).stats())),
+    (("dev",), "developer tooling: the repro-lint static analyzer", [], None),
+    (("dev", "lint"), "run the invariant checkers (determinism, schema-hash coupling, "
+     "atomicity, hot-path discipline); exit 1 on findings",
+     ["--format", "--rule", "--root"], _dev_lint),
+    (("dev", "regen-manifest"), "recompute devtools/schema_manifest.json after a schema change "
+     "and its version bump", ["--force", "--check", "--root"],
+     _dev_regen_manifest),
+]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Build the argument parser for the ``msropm`` command from ``COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="msropm",
+        description="Multi-stage ring-oscillator Potts machine (DATE 2025 reproduction)",
     )
-
-    root = (Path(args.root) if args.root else find_repo_root()).resolve()
-    if args.dev_command == "lint":
-        return run_lint_command(root, args.format, args.rule)
-    if args.dev_command == "regen-manifest":
-        return run_regen_command(root, args.force, args.check)
-    raise AssertionError(f"unhandled dev command {args.dev_command!r}")
+    parsers = {(): parser}
+    subparsers: dict = {}
+    for path, help_text, flags, handler in COMMANDS:
+        group = path[:-1]
+        if group not in subparsers:
+            subparsers[group] = parsers[group].add_subparsers(
+                dest="_".join((*group, "command")), required=True
+            )
+        sub = parsers[path] = subparsers[group].add_parser(path[-1], help=help_text)
+        if handler is not None:
+            sub.set_defaults(handler=handler)
+        for flag in flags:
+            name, overrides = (flag, {}) if isinstance(flag, str) else flag
+            sub.add_argument(name, **{**FLAGS[name], **overrides})
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``msropm`` command."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve":
-        return _run_solve(args)
-    if args.command == "table1":
-        with runner_from_args(args) as runner:
-            result = run_table1(
-                scale=args.scale,
-                iterations=args.iterations,
-                seed=args.seed,
-                precision=args.precision,
-                runner=runner,
-            )
-        print(result.render())
-        return 0
-    if args.command == "table2":
-        with runner_from_args(args) as runner:
-            result = run_table2(
-                scale=args.scale,
-                iterations=args.iterations,
-                seed=args.seed,
-                precision=args.precision,
-                runner=runner,
-            )
-        print(result.render())
-        return 0
-    if args.command == "fig5":
-        with runner_from_args(args) as runner:
-            result = run_figure5(
-                scale=args.scale,
-                iterations=args.iterations,
-                seed=args.seed,
-                precision=args.precision,
-                runner=runner,
-            )
-        print(render_figure5(result))
-        return 0
-    if args.command == "suite":
-        with runner_from_args(args) as runner:
-            result = run_suite(
-                scale=args.scale,
-                iterations=args.iterations,
-                seed=args.seed,
-                precision=args.precision,
-                runner=runner,
-            )
-        print(result.render())
-        return 0
-    if args.command == "fig3":
-        result = run_figure3(rows=args.rows, cols=args.rows, seed=args.seed)
-        print(render_figure3(result))
-        return 0
-    if args.command == "workloads":
-        return _run_workloads(args)
-    if args.command == "scenarios":
-        return _run_scenarios(args)
-    if args.command == "equivalence":
-        return _run_equivalence(args)
-    if args.command == "campaign":
-        return _run_campaign(args)
-    if args.command == "fleet":
-        return _run_fleet(args)
-    if args.command == "cache":
-        return _run_cache(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "client":
-        return _run_client(args)
-    if args.command == "dev":
-        return _run_dev(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        # Library errors (bad flag values, unknown run ids, failed jobs) end in
+        # one line, not a traceback; any other exception is a bug and propagates.
+        print(f"msropm: error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation path

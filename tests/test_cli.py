@@ -2,12 +2,93 @@
 
 from __future__ import annotations
 
+import argparse
+import difflib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 
+PARSER_FIXTURE = Path(__file__).with_name("cli_parser.json")
+
+
+def parser_shape(parser: argparse.ArgumentParser) -> dict:
+    """Every subparser dest and every leaf's non-help actions, help text left out.
+
+    Regenerate the fixture (only for a deliberate flag change) with
+    ``PYTHONPATH=src python tests/test_cli.py --write``.
+    """
+    shape: dict = {"subparsers": {}, "leaves": {}}
+
+    def walk(sub: argparse.ArgumentParser, path: tuple) -> None:
+        actions = []
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if isinstance(action, argparse._SubParsersAction):
+                shape["subparsers"][" ".join(path) or "msropm"] = {
+                    "dest": action.dest,
+                    "required": action.required,
+                }
+                for name, child in action.choices.items():
+                    walk(child, path + (name,))
+                continue
+            actions.append(
+                {
+                    "option_strings": list(action.option_strings),
+                    "dest": action.dest,
+                    "default": repr(action.default),
+                    "type": getattr(action.type, "__name__", None),
+                    "choices": None if action.choices is None else list(action.choices),
+                    "action": type(action).__name__,
+                    "nargs": action.nargs,
+                    "required": action.required,
+                    "metavar": action.metavar,
+                }
+            )
+        if not sub._subparsers:
+            shape["leaves"][" ".join(path)] = actions
+
+    walk(parser, ())
+    return shape
+
+
+def render_shape(shape: dict) -> str:
+    """The shape as JSON with one line per subparser and per flag, for readable diffs."""
+    def block(items, indent):
+        return ",\n".join(f"{indent}{item}" for item in items)
+
+    subparsers = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in shape["subparsers"].items()]
+    leaves = [
+        f"{json.dumps(path)}: [\n{block(map(json.dumps, actions), '   ')}\n  ]"
+        if actions
+        else f"{json.dumps(path)}: []"
+        for path, actions in shape["leaves"].items()
+    ]
+    return (
+        f'{{\n "subparsers": {{\n{block(subparsers, "  ")}\n }},\n'
+        f' "leaves": {{\n{block(leaves, "  ")}\n }}\n}}\n'
+    )
+
 
 class TestParser:
+    def test_parser_matches_fixture(self):
+        # Any flag added, dropped, renamed or re-defaulted shows as a diff.
+        expected = PARSER_FIXTURE.read_text()
+        actual = render_shape(parser_shape(build_parser()))
+        diff = "".join(
+            difflib.unified_diff(
+                expected.splitlines(keepends=True),
+                actual.splitlines(keepends=True),
+                "cli_parser.json",
+                "build_parser()",
+            )
+        )
+        assert not diff, diff
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -65,6 +146,95 @@ class TestMain:
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "Figure 5(a)" in captured
+
+    def test_table2_command_scaled(self, capsys):
+        exit_code = main(["table2", "--scale", "0.05"])
+        captured = capsys.readouterr().out
+        assert exit_code == 0
+        assert "Table 2: comparison with prior work" in captured
+        assert "ROIM [8]" in captured
+
+    def test_equivalence_command(self, capsys):
+        exit_code = main(["equivalence", "--family", "er", "--iterations", "4"])
+        captured = capsys.readouterr().out
+        assert exit_code in (0, 1)
+        assert "Exact vs throughput tier: statistical equivalence" in captured
+        assert "\ner " in captured
+
+    def test_serve_refuses_no_cache(self, capsys):
+        assert main(["serve", "--no-cache"]) == 2
+        assert "drop --no-cache" in capsys.readouterr().err
+
+
+class TestCampaignCommands:
+    def test_status_and_resume_of_a_killed_run(self, capsys, monkeypatch, tmp_path):
+        import os
+
+        from repro.campaigns import KILL_AFTER_ENV
+
+        def simulated_exit(code):
+            raise SystemExit(code)
+
+        # The kill hook ends the process with os._exit; raise SystemExit instead
+        # so the run dies at the same point but the test process survives.
+        monkeypatch.setattr(os, "_exit", simulated_exit)
+        monkeypatch.setenv(KILL_AFTER_ENV, "table1")
+        cache = str(tmp_path / "cache")
+        with pytest.raises(SystemExit) as killed:
+            main(["campaign", "run", "suite", "--scale", "0.05", "--iterations", "2",
+                  "--run-id", "killed", "--cache-dir", cache])
+        assert killed.value.code == 86
+        monkeypatch.delenv(KILL_AFTER_ENV)
+        capsys.readouterr()
+
+        assert main(["campaign", "status", "killed", "--cache-dir", cache]) == 0
+        status = capsys.readouterr().out
+        assert "Campaign 'suite' run killed" in status
+        assert "not_started" in status
+        assert "finished: no" in status
+
+        assert main(["campaign", "resume", "killed", "--cache-dir", cache]) == 0
+        resumed = capsys.readouterr().out
+        assert "stage table1: already passed" in resumed
+        assert "campaign killed: 4/4 stage(s) passed" in resumed
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--workers", "0"],
+            ["solve", "--colors", "3"],
+            ["table1", "--scale", "2"],
+            ["solve", "--executor", "spool"],
+            ["campaign", "status", "nope"],
+            ["campaign", "report", "nope"],
+            ["campaign", "resume", "nope"],
+            ["cache", "export", "x.tgz", "--run-id", "nope"],
+        ],
+        ids=" ".join,
+    )
+    def test_user_input_error_is_one_stderr_line(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("msropm: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_error_exit_of_the_console_command(self, tmp_path):
+        import os
+        import subprocess
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "campaign", "status", "no-such-run",
+             "--cache-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("msropm: error: unknown campaign run")
+        assert "Traceback" not in completed.stderr
 
 
 class TestRuntimeFlags:
@@ -220,3 +390,7 @@ class TestRunnerLifecycle:
             )
         capsys.readouterr()
         assert multiprocessing.active_children() == []
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    PARSER_FIXTURE.write_text(render_shape(parser_shape(build_parser())))

@@ -762,6 +762,22 @@ class TestHTTPTransport:
             client.poll("does-not-exist")
         assert excinfo.value.status == 404
 
+    def test_cli_client_commands(self, live_service, capsys):
+        from repro.cli import main
+
+        _, cache_dir = live_service
+        located = ["--cache-dir", str(cache_dir)]
+        assert main(["client", "submit", "--rows", "3", "--iterations", "1", "--seed", "5",
+                     "--wait", *located]) == 0
+        ticket_id = capsys.readouterr().out.split()[1]
+
+        assert main(["client", "poll", ticket_id, *located]) == 0
+        assert json.loads(capsys.readouterr().out)["state"] == TICKET_DONE
+        assert main(["client", "fetch", ticket_id, *located]) == 0
+        assert json.loads(capsys.readouterr().out)["iterations"]
+        assert main(["client", "stats", *located]) == 0
+        assert json.loads(capsys.readouterr().out)["runner"]["jobs_run"] == 1
+
     def test_stalled_request_is_closed_at_the_read_deadline(self, live_service, monkeypatch):
         """Half a request line, then silence: the server closes the connection."""
         import socket
