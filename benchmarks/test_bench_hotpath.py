@@ -1,7 +1,7 @@
 """Hot-path benchmark: absolute solve times against the bit-identity floor.
 
 Measures the solver's one stage body on the paper's 40-replica King's-board
-solves and writes a ``BENCH_hotpath.json`` payload:
+solves and prints:
 
 * **Whole-solve timings** per board through ``MSROPM.solve``, with
   the results checked bit for bit against the golden digests of
@@ -25,15 +25,12 @@ Environment knobs:
 * ``REPRO_HOTPATH_BENCH_BOARDS`` — comma-separated board sizes (default ``5,7``).
 * ``REPRO_HOTPATH_BENCH_REPLICAS`` — replicas per solve (default 40, the paper's).
 * ``REPRO_HOTPATH_BENCH_REPEATS`` — timing repetitions (default 3, best-of).
-* ``REPRO_BENCH_OUT`` — output path; unset, the payload goes to the test's
-  temporary directory, so a test run never rewrites a tracked file.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +38,6 @@ from repro.core import MSROPM, MSROPMConfig
 from repro.core.stages import partition_coupling_matrix
 from repro.graphs import kings_graph
 from repro.rng import ReplicaRNG, make_rng, iteration_seeds
-from repro.runtime.atomic import write_atomic_json
 from repro.runtime.jobs import KingsGraphSpec, SolveJob, clear_machine_memo
 from repro.runtime.scheduler import JobScheduler
 from tests import golden_digests
@@ -52,11 +48,6 @@ BENCH_BOARDS = [
 BENCH_REPLICAS = int(os.environ.get("REPRO_HOTPATH_BENCH_REPLICAS", "40"))
 BENCH_REPEATS = int(os.environ.get("REPRO_HOTPATH_BENCH_REPEATS", "3"))
 BENCH_SEED = 7
-
-
-def _bench_out(tmp_path: Path) -> Path:
-    configured = os.environ.get("REPRO_BENCH_OUT")
-    return Path(configured) if configured else tmp_path / "BENCH_hotpath.json"
 
 
 def _best_of(callable_, repeats=BENCH_REPEATS):
@@ -107,11 +98,8 @@ def _bench_solves():
         boards.append(
             {
                 "board": f"{rows}x{rows}",
-                "nodes": graph.num_nodes,
-                "edges": graph.num_edges,
                 "replicas": BENCH_REPLICAS,
                 "solve_s": round(solve_s, 4),
-                "golden_digest_checked": golden is not None,
             }
         )
     return boards
@@ -159,19 +147,7 @@ def _bench_floor(rows):
         operator.apply_pair(cos_buf, sin_buf)
     kernel_s = time.perf_counter() - start
 
-    return {
-        "board": f"{rows}x{rows}",
-        "steps": steps,
-        "trig_s": round(trig_s, 4),
-        "noise_stream_s": round(noise_s, 4),
-        "coupling_kernel_s": round(kernel_s, 4),
-        "floor_s": round(trig_s + noise_s + kernel_s, 4),
-        "note": (
-            "sin/cos per step, the per-replica RNG noise stream, and the CSR "
-            "coupling kernel are pinned bit-identical to the sequential "
-            "reference; their sum bounds any bit-preserving solve time from below"
-        ),
-    }
+    return {"board": f"{rows}x{rows}", "floor_s": round(trig_s + noise_s + kernel_s, 4)}
 
 
 def _bench_throughput(rows):
@@ -197,21 +173,13 @@ def _bench_throughput(rows):
     assert abs(mean - exact_mean) < 0.05, (mean, exact_mean)
     return {
         "board": f"{rows}x{rows}",
-        "replicas": BENCH_REPLICAS,
         "exact_s": round(exact_s, 4),
-        "exact_mean_accuracy": round(exact_mean, 4),
         "throughput_s": round(tier_s, 4),
         "speedup_vs_exact": round(exact_s / tier_s, 3),
-        "mean_accuracy": round(mean, 4),
-        "note": (
-            "precision='throughput' (batched noise stream, float32 state) trades "
-            "bit-identity for speed; accuracy equivalence is enforced "
-            "statistically by 'msropm equivalence'"
-        ),
     }
 
 
-def _bench_dispatch(tmp_path):
+def _bench_dispatch():
     """Cold pool spin-up vs warm-pool dispatch for a repeat job batch.
 
     The jobs use a reduced-timing configuration so the batch wall time is
@@ -245,54 +213,30 @@ def _bench_dispatch(tmp_path):
         start = time.perf_counter()
         scheduler.run(jobs(100))
         warm_s = time.perf_counter() - start
-        thread_caps = dict(scheduler.thread_caps)
-        start_method = scheduler.start_method
     finally:
         scheduler.close()
     return {
-        "jobs_per_batch": 6,
-        "workers": 2,
         "cold_pool_s": round(cold_s, 4),
         "warm_pool_s": round(warm_s, 4),
         "dispatch_speedup": round(cold_s / warm_s, 3),
-        "start_method": start_method,
-        "worker_thread_caps": thread_caps,
     }
 
 
-def test_bench_hotpath(tmp_path):
+def test_bench_hotpath():
     boards = _bench_solves()
     largest = max(BENCH_BOARDS)
     floor = _bench_floor(largest)
-    dispatch = _bench_dispatch(tmp_path)
+    dispatch = _bench_dispatch()
     throughput = _bench_throughput(largest)
 
     largest_entry = next(entry for entry in boards if entry["board"] == f"{largest}x{largest}")
-    payload = {
-        "benchmark": "hotpath",
-        "replicas": BENCH_REPLICAS,
-        "repeats": BENCH_REPEATS,
-        "cpu_count": os.cpu_count(),
-        "numpy": np.__version__,
-        "solve": boards,
-        "floor": floor,
-        "dispatch": dispatch,
-        "throughput": throughput,
-        "floor_utilization": round(floor["floor_s"] / largest_entry["solve_s"], 3),
-        "note": (
-            "single-process solve times of the one (R, N) stage body, checked "
-            "bit-identical against the golden digests; floor_utilization is how "
-            "close the solve runs to the measured bit-identity floor"
-        ),
-    }
-    bench_out = _bench_out(tmp_path)
-    write_atomic_json(bench_out, payload, indent=2)
-    print(f"\nhotpath benchmark -> {bench_out}")
+    floor_utilization = floor["floor_s"] / largest_entry["solve_s"]
+    print(f"\nhotpath benchmark ({os.cpu_count()} cpu(s), numpy {np.__version__})")
     for entry in boards:
         print(f"  {entry['board']} x{entry['replicas']}: solve {entry['solve_s']:.3f}s")
     print(
         f"  floor @ {floor['board']}: {floor['floor_s']:.3f}s "
-        f"(utilization {payload['floor_utilization']:.2f})"
+        f"(utilization {floor_utilization:.2f})"
     )
     print(
         f"  dispatch: cold {dispatch['cold_pool_s']:.3f}s vs warm {dispatch['warm_pool_s']:.3f}s "

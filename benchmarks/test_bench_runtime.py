@@ -2,38 +2,27 @@
 
 Times the scaled evaluation suite (Tables 1-2 + Fig. 5) three ways — serial,
 through a 2-worker process pool, and again against a warm result cache — and
-writes the measurements to ``BENCH_runtime.json`` so CI tracks the runtime's
-speedup trajectory.  Results are asserted bit-identical across all three
+prints the measurements.  Results are asserted bit-identical across all three
 paths.
 
 The serial-vs-parallel *speedup* is only meaningful when the machine has at
 least as many CPUs as workers; on an under-provisioned box the pool measures
-pure dispatch overhead, not parallelism.  The payload therefore records the
-CPU count, the multiprocessing start method and the worker thread caps, and
-publishes ``parallel_speedup: null`` plus an explanatory
-``parallel_comparison`` flag instead of a misleading sub-1.0 "speedup" when
-``cpu_count < workers``.
+pure dispatch overhead, not parallelism, so the speedup is asserted only
+with real cores to spread across.
 
 Environment knobs:
 
 * ``REPRO_RUNTIME_BENCH_SCALE`` — suite scale (default 0.1, the CI smoke size).
 * ``REPRO_RUNTIME_BENCH_WORKERS`` — parallel worker count (default 2).
-* ``REPRO_BENCH_OUT`` — output path; unset, the payload goes to a temporary
-  directory shared by this module's tests, so a test run never rewrites a
-  tracked file.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.experiments.suite import run_suite
-from repro.runtime.atomic import write_atomic_json
 from repro.runtime.runner import ExperimentRunner
 
 BENCH_SCALE = float(os.environ.get("REPRO_RUNTIME_BENCH_SCALE", "0.1"))
@@ -58,24 +47,12 @@ def _timed_suite(runner):
     return result, time.perf_counter() - start
 
 
-@pytest.fixture(scope="module")
-def bench_out(tmp_path_factory) -> Path:
-    """Where the module's tests accumulate their sections of the payload."""
-    configured = os.environ.get("REPRO_BENCH_OUT")
-    if configured:
-        return Path(configured)
-    return tmp_path_factory.mktemp("bench") / "BENCH_runtime.json"
-
-
-def test_bench_runtime_suite(tmp_path, bench_out):
+def test_bench_runtime_suite(tmp_path):
     cache_dir = tmp_path / "cache"
 
     serial_result, serial_s = _timed_suite(ExperimentRunner(workers=1))
     with ExperimentRunner(workers=BENCH_WORKERS, cache_dir=cache_dir) as parallel_runner:
         parallel_result, parallel_s = _timed_suite(parallel_runner)
-        scheduler = parallel_runner.scheduler
-        start_method = scheduler.start_method
-        thread_caps = dict(scheduler.thread_caps)
     with ExperimentRunner(workers=BENCH_WORKERS, cache_dir=cache_dir) as warm_runner:
         warm_result, warm_s = _timed_suite(warm_runner)
 
@@ -86,40 +63,12 @@ def test_bench_runtime_suite(tmp_path, bench_out):
     assert warm_result.runner_stats["jobs_run"] == 0
 
     cpu_count = os.cpu_count() or 1
-    parallel_valid = cpu_count >= BENCH_WORKERS
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     cache_speedup = serial_s / warm_s if warm_s > 0 else float("inf")
-    payload = {
-        "benchmark": "runtime-suite",
-        "scale": BENCH_SCALE,
-        "iterations": BENCH_ITERATIONS,
-        "workers": BENCH_WORKERS,
-        "cpu_count": cpu_count,
-        "start_method": start_method,
-        "worker_thread_caps": thread_caps,
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "warm_cache_s": round(warm_s, 4),
-        # A sub-1.0 "speedup" measured on a box with fewer CPUs than workers
-        # is pool overhead, not a parallelism regression: publish null plus an
-        # explanation instead of a misleading number.
-        "parallel_speedup": round(speedup, 3) if parallel_valid else None,
-        "parallel_comparison": (
-            "ok"
-            if parallel_valid
-            else f"skipped: cpu_count ({cpu_count}) < workers ({BENCH_WORKERS}); "
-            "pool timing measures dispatch overhead, not parallel speedup"
-        ),
-        "warm_cache_speedup": round(cache_speedup, 3),
-        "jobs_solved_serial": serial_result.runner_stats["jobs_run"],
-        "jobs_solved_warm": warm_result.runner_stats["jobs_run"],
-    }
-    write_atomic_json(bench_out, payload, indent=2)
     print(
         f"\nruntime suite @ scale {BENCH_SCALE}: serial {serial_s:.2f}s, "
-        f"{BENCH_WORKERS}-worker {parallel_s:.2f}s "
-        f"({speedup:.2f}x, {payload['parallel_comparison']}), "
-        f"warm cache {warm_s:.2f}s ({cache_speedup:.2f}x) -> {bench_out}"
+        f"{BENCH_WORKERS}-worker {parallel_s:.2f}s ({speedup:.2f}x, "
+        f"{cpu_count} cpu(s)), warm cache {warm_s:.2f}s ({cache_speedup:.2f}x)"
     )
 
     # A warm cache must beat re-solving by a wide margin at any scale.
@@ -147,15 +96,14 @@ def _batch_fingerprint(results):
     ]
 
 
-def test_bench_fleet_dispatch(tmp_path, bench_out):
+def test_bench_fleet_dispatch(tmp_path):
     """Fleet section: spool vs local-pool dispatch overhead at equal parallelism.
 
     Times one batch of solves through the local process pool and through the
     spool backend (same worker count; the spool spawns ``workers - 1`` fleet
     child processes and the submitter drains alongside them), cold and warm,
-    and merges a ``fleet`` section into ``BENCH_runtime.json``.  Results are
-    asserted bit-identical across serial, pool, and spool topologies — the
-    fleet's core invariant.
+    and prints the three timings.  Results are asserted bit-identical across
+    serial, pool, and spool topologies — the fleet's core invariant.
     """
     from repro.runtime.executors import SpoolExecutorBackend
     from repro.runtime.scheduler import JobScheduler
@@ -187,32 +135,14 @@ def test_bench_fleet_dispatch(tmp_path, bench_out):
     assert _batch_fingerprint(serial) == _batch_fingerprint(spooled)
     assert len(spooled_warm) == num_jobs
 
-    fleet = {
-        "jobs": num_jobs,
-        "workers": BENCH_WORKERS,
-        "local_pool_s": round(local_s, 4),
-        "spool_cold_s": round(spool_cold_s, 4),
-        "spool_warm_s": round(spool_warm_s, 4),
-        # Positive = the spool's per-job file-handoff cost vs in-memory IPC.
-        "spool_overhead_per_job_s": round((spool_warm_s - local_s) / num_jobs, 5),
-        "jobs_executed_by_submitter": backend.jobs_executed_locally,
-        "jobs_stolen_by_fleet": backend.jobs_stolen,
-        "fleet_children_spawned": backend.children_spawned,
-    }
-    try:
-        payload = json.loads(bench_out.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        payload = {"benchmark": "runtime-suite"}
-    payload["fleet"] = fleet
-    write_atomic_json(bench_out, payload, indent=2)
     print(
         f"\nfleet dispatch @ {num_jobs} jobs x {BENCH_WORKERS} workers: "
         f"local pool {local_s:.2f}s, spool cold {spool_cold_s:.2f}s, "
-        f"spool warm {spool_warm_s:.2f}s -> {bench_out}"
+        f"spool warm {spool_warm_s:.2f}s"
     )
 
 
-def test_bench_service_front_door(tmp_path, bench_out):
+def test_bench_service_front_door(tmp_path):
     """Service section: warm front-door latency vs a cold CLI process.
 
     The service's pitch is amortization: one long-lived runner (warm pool,
@@ -221,8 +151,7 @@ def test_bench_service_front_door(tmp_path, bench_out):
     benchmark times the three request classes against that cold-CLI baseline
     — cache-*miss* (submitted, executed by the warm runner), cache-*hit*
     (resubmitted hash, answered from the memo), and a coalesced burst (N
-    concurrent identical submissions, one execution) — and merges a
-    ``service`` section into ``BENCH_runtime.json``.
+    concurrent identical submissions, one execution) — and prints them.
     """
     import subprocess
     import sys
@@ -318,33 +247,12 @@ def test_bench_service_front_door(tmp_path, bench_out):
 
     miss_speedup = cold_cli_s / warm_miss_s if warm_miss_s > 0 else float("inf")
     hit_speedup = cold_cli_s / warm_hit_s if warm_hit_s > 0 else float("inf")
-    section = {
-        "rows": rows,
-        "iterations": iterations,
-        "cold_cli_s": round(cold_cli_s, 4),
-        "warm_miss_s": round(warm_miss_s, 4),
-        "warm_hit_s": round(warm_hit_s, 5),
-        "miss_speedup_vs_cold_cli": round(miss_speedup, 2),
-        "hit_speedup_vs_cold_cli": round(hit_speedup, 2),
-        "coalesced_burst_requests": burst,
-        "coalesced_burst_s": round(burst_s, 4),
-        "tickets_issued": stats["tickets_issued"],
-        "tickets_coalesced": stats["tickets_coalesced"],
-        "tickets_cache_served": stats["tickets_cache_served"],
-        "burst_executions": 1,
-    }
-    try:
-        payload = json.loads(bench_out.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        payload = {"benchmark": "runtime-suite"}
-    payload["service"] = section
-    write_atomic_json(bench_out, payload, indent=2)
     print(
         f"\nservice front door @ {rows}x{rows}/{iterations} iters: "
         f"cold CLI {cold_cli_s:.2f}s, warm miss {warm_miss_s:.2f}s "
         f"({miss_speedup:.1f}x), warm hit {warm_hit_s * 1000:.1f}ms "
         f"({hit_speedup:.0f}x), {burst}-wide burst {burst_s:.2f}s "
-        f"(coalesced {stats['tickets_coalesced']}) -> {bench_out}"
+        f"(coalesced {stats['tickets_coalesced']})"
     )
 
     # The warm front door must beat cold CLI start-up by the contract margins.

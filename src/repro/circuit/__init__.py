@@ -1,4 +1,9 @@
-"""Behavioural circuit layer: 65 nm blocks of the MSROPM (Fig. 4 of the paper)."""
+"""Circuit models of the MSROPM: power, timing/control and the ROSC model.
+
+The 65 nm technology corner, the ring oscillator and its inverter, and the
+B2B coupling element feed the bottom-up power model (Table 1's power column);
+the control schedule gives each stage its timing plan.
+"""
 
 from repro.circuit.technology import (
     TECH_65NM_GP,
@@ -10,17 +15,6 @@ from repro.circuit.technology import (
 from repro.circuit.inverter import Inverter, ROSC_INVERTER
 from repro.circuit.ring_oscillator import RingOscillator, paper_rosc
 from repro.circuit.coupling import CouplingElement, b2b_coupling
-from repro.circuit.shil import (
-    SHIL1_FUNDAMENTAL_OFFSET,
-    SHIL2_FUNDAMENTAL_OFFSET,
-    ShilSource,
-    n_shil,
-    shil1,
-    shil2,
-)
-from repro.circuit.dff import DFlipFlop, ReferenceSignal, reference_bank
-from repro.circuit.mux import ShilMux
-from repro.circuit.readout import PhaseReadout, binary_readout
 from repro.circuit.control import (
     ControlSchedule,
     ControlState,
@@ -31,7 +25,6 @@ from repro.circuit.control import (
     multi_stage_schedule,
 )
 from repro.circuit.power import PAPER_POWER_MW, PowerModel, energy_per_solution
-from repro.circuit.netlist import FabricNetlist
 
 __all__ = [
     "Technology",
@@ -45,18 +38,6 @@ __all__ = [
     "paper_rosc",
     "CouplingElement",
     "b2b_coupling",
-    "ShilSource",
-    "shil1",
-    "shil2",
-    "n_shil",
-    "SHIL1_FUNDAMENTAL_OFFSET",
-    "SHIL2_FUNDAMENTAL_OFFSET",
-    "DFlipFlop",
-    "ReferenceSignal",
-    "reference_bank",
-    "ShilMux",
-    "PhaseReadout",
-    "binary_readout",
     "ControlSchedule",
     "ControlState",
     "StageInterval",
@@ -67,5 +48,4 @@ __all__ = [
     "PowerModel",
     "PAPER_POWER_MW",
     "energy_per_solution",
-    "FabricNetlist",
 ]

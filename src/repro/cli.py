@@ -87,6 +87,7 @@ error (:class:`~repro.exceptions.ReproError`) ends the command with one
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -95,7 +96,7 @@ from typing import List, Optional
 from repro.analysis.reporting import format_table, summarize_campaign_totals
 from repro.campaigns import campaign_names
 from repro.core.config import MSROPMConfig
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.fig3_waveforms import render_figure3, run_figure3
 from repro.experiments.fig5_accuracy import render_figure5, run_figure5
 from repro.experiments.scenario_matrix import SCENARIO_BASELINES, run_scenario_matrix
@@ -520,11 +521,7 @@ def _campaign_watch(args: argparse.Namespace) -> int:
     ledger = _campaign_ledger(args.cache_dir)
     path = ledger.path(args.run_id)
     if not path.exists():
-        print(
-            f"error: unknown campaign run {args.run_id!r} under {ledger.root}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigurationError(f"unknown campaign run {args.run_id!r} under {ledger.root}")
     follower = LedgerFollower(path)
     projection = CampaignProjection(args.run_id)
     seen_truncations = 0
@@ -1049,7 +1046,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``msropm`` command."""
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (`msropm table2 | head -3`): a normal
+        # end.  Stdout goes to devnull so the exit-time flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ReproError as error:
         # Library errors (bad flag values, unknown run ids, failed jobs) end in
         # one line, not a traceback; any other exception is a bug and propagates.

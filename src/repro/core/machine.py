@@ -1,8 +1,7 @@
 """The multi-stage ring-oscillator Potts machine (MSROPM) — the paper's contribution.
 
-:class:`MSROPM` ties together the problem mapping, the circuit-level fabric
-netlist, the control schedule and the phase dynamics into the solver the paper
-evaluates:
+:class:`MSROPM` ties together the problem mapping, the control schedule and
+the phase dynamics into the solver the paper evaluates:
 
 * the problem graph is mapped one node per oscillator and one edge per B2B
   coupling;
@@ -31,7 +30,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError, MappingError
-from repro.circuit.netlist import FabricNetlist
 from repro.circuit.power import PowerModel
 from repro.core.config import MSROPMConfig
 from repro.core.engine import BatchedEngine, run_batch
@@ -78,12 +76,6 @@ class MSROPM:
             # Re-validate against the provided graph to catch mismatched mappings.
             if set(self.mapping.problem_graph.nodes) != set(graph.nodes):
                 raise MappingError("mapping was built for a different problem graph")
-        self.netlist = FabricNetlist(
-            graph=graph,
-            coupling_strength=self.config.coupling_strength,
-            shil_strength=self.config.shil_strength,
-            num_colors=self.config.num_colors,
-        )
         self._edge_index = graph.edge_index_array()
         self._nodes = graph.nodes
         self._stage1_reference_cut = (

@@ -4,7 +4,6 @@ from repro.dynamics.integrators import (
     Trajectory,
     integrate_euler_maruyama,
     integrate_rk4,
-    integrate_scipy,
 )
 from repro.dynamics.batched import (
     BatchedOscillatorModel,
@@ -32,7 +31,6 @@ __all__ = [
     "Trajectory",
     "integrate_rk4",
     "integrate_euler_maruyama",
-    "integrate_scipy",
     "CoupledOscillatorModel",
     "BatchedOscillatorModel",
     "CouplingOperator",

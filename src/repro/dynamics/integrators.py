@@ -1,21 +1,17 @@
 """ODE/SDE integrators for the phase dynamics.
 
-Three integration backends are provided:
+Two integration backends are provided:
 
 * a fixed-step 4th-order Runge-Kutta integrator (deterministic runs,
   waveform-quality trajectories),
 * a fixed-step Euler-Maruyama integrator (stochastic runs with phase noise —
-  the workhorse of the accuracy experiments),
-* a thin wrapper around :func:`scipy.integrate.solve_ivp` for adaptive,
-  high-accuracy deterministic integration (used in tests to validate the
-  fixed-step integrators).
+  the workhorse of the accuracy experiments).
 
 All integrators operate on a right-hand-side callback ``f(t, theta) -> dtheta/dt``
 and return the full trajectory so the waveform and energy-tracking utilities
-can inspect intermediate states.  The fixed-step integrators are shape
-agnostic: ``theta`` may be a flat ``(N,)`` phase vector or a batched ``(R, N)``
-array of R replicas advanced in lock-step (the batched engine's hot path);
-only :func:`integrate_scipy` is restricted to flat vectors by ``solve_ivp``.
+can inspect intermediate states.  The integrators are shape agnostic:
+``theta`` may be a flat ``(N,)`` phase vector or a batched ``(R, N)`` array of
+R replicas advanced in lock-step (the batched engine's hot path).
 
 Hot-path structure
 ------------------
@@ -44,10 +40,9 @@ phase array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.exceptions import SimulationError
 from repro.rng import SeedLike, make_rng, normal_noise_block
@@ -383,36 +378,3 @@ def euler_maruyama_final(
     theta = np.array(initial_phases, dtype=dtype)
     noise_scale = np.sqrt(2.0 * noise_amplitude * step)
     return _euler_maruyama_loop(rhs, theta, num_steps, step, noise_scale, rng, start_time, None)
-
-
-def integrate_scipy(
-    rhs: RHS,
-    initial_phases: np.ndarray,
-    duration: float,
-    start_time: float = 0.0,
-    rtol: float = 1e-7,
-    atol: float = 1e-9,
-    max_points: int = 501,
-) -> Trajectory:
-    """Adaptive integration via :func:`scipy.integrate.solve_ivp` (RK45).
-
-    Used as a high-accuracy reference in tests; the trajectory is sampled on a
-    uniform grid of at most ``max_points`` points.
-    """
-    if duration <= 0:
-        raise SimulationError(f"duration must be positive, got {duration}")
-    if max_points < 2:
-        raise SimulationError(f"max_points must be at least 2, got {max_points}")
-    t_eval = np.linspace(start_time, start_time + duration, max_points)
-    solution = solve_ivp(
-        rhs,
-        (start_time, start_time + duration),
-        np.asarray(initial_phases, dtype=float),
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-        method="RK45",
-    )
-    if not solution.success:
-        raise SimulationError(f"solve_ivp failed: {solution.message}")
-    return Trajectory(times=solution.t, phases=solution.y.T)

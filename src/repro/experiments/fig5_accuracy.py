@@ -29,7 +29,6 @@ from repro.experiments.problems import (
     PAPER_ITERATIONS,
     default_config,
     scaled_iterations,
-    scaled_problem,
     scaled_spec,
 )
 from repro.runtime.runner import ExperimentRunner, SolveRequest
@@ -127,11 +126,10 @@ def run_figure5(
     solves = runner.solve_many(requests)
     result = Figure5Result()
     for requested_size, solve in zip(sizes, solves):
-        problem = scaled_problem(requested_size, scale=scale)
         result.series.append(
             Figure5Series(
                 problem_name=f"{requested_size}-node",
-                num_nodes=problem.num_nodes,
+                num_nodes=solve.graph.num_nodes,
                 coloring_accuracies=solve.accuracies,
                 maxcut_accuracies=solve.stage1_accuracies,
                 hamming_distances=solve.hamming_distances(),

@@ -153,14 +153,14 @@ def run_table1(
     solves = runner.solve_many(requests)
     result = Table1Result()
     for requested, request, solve in zip(sizes, requests, solves):
-        problem = scaled_problem(requested, scale=scale)
-        power = power_model.total_power(problem.graph.num_nodes, problem.graph.num_edges)
+        graph = solve.graph
+        power = power_model.total_power(graph.num_nodes, graph.num_edges)
         result.rows.append(
             Table1Row(
                 problem_name=f"{requested}-node",
                 requested_nodes=requested,
-                simulated_nodes=problem.graph.num_nodes,
-                num_edges=problem.graph.num_edges,
+                simulated_nodes=graph.num_nodes,
+                num_edges=graph.num_edges,
                 iterations=request.iterations,
                 average_power_w=power,
                 top_accuracy=float(solve.best_accuracy),

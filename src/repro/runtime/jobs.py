@@ -583,9 +583,9 @@ def build_machine(spec: GraphSpec, config: MSROPMConfig, memoize: bool = True):
 
     With ``memoize=True`` (deterministic constructions only — see
     :attr:`SolveJob.memoizable`) the pair is served from the process-local
-    memo: repeat jobs on the same problem skip graph generation, netlist
-    construction, detuning draws, and — because the machine carries its cached
-    stage executors and coupling plans — operator precompilation.  Solves
+    memo: repeat jobs on the same problem skip graph generation, detuning
+    draws, and — because the machine carries its cached stage executors and
+    coupling plans — operator precompilation.  Solves
     draw no state from the machine besides these immutable structures, so
     sharing is bit-neutral.
     """

@@ -23,14 +23,14 @@ them:
 Modules: :mod:`~repro.service.protocol` (wire job specs ↔ runtime jobs),
 :mod:`~repro.service.ratelimit` (token buckets on an injectable clock),
 :mod:`~repro.service.state` (endpoint + ticket-state files, atomic writes),
-:mod:`~repro.service.server` (the asyncio front door),
+:mod:`~repro.service.server` (the asyncio front door; not imported here, so
+only ``msropm serve`` loads ``asyncio``),
 :mod:`~repro.service.client` (the stdlib client the CLI wraps).
 """
 
 from repro.service.client import ServiceClient, ServiceError, discover_endpoint
 from repro.service.protocol import PROTOCOL_VERSION, build_jobs
 from repro.service.ratelimit import RateLimiter
-from repro.service.server import SolverService, run_server
 from repro.service.state import ServiceState
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceState",
-    "SolverService",
     "build_jobs",
     "discover_endpoint",
-    "run_server",
 ]

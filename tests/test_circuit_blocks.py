@@ -12,16 +12,14 @@ from repro.circuit import (
     Inverter,
     RingOscillator,
     CouplingElement,
-    ShilSource,
     Technology,
     b2b_coupling,
     dynamic_power,
     leakage_power,
-    n_shil,
     paper_rosc,
-    shil1,
-    shil2,
 )
+from repro.core.stages import group_offsets
+from repro.dynamics import BatchedOscillatorModel, FastSharedCoupling
 from repro.units import as_ghz, ghz
 
 
@@ -156,45 +154,77 @@ class TestCoupling:
         assert element.ising_coupling() == pytest.approx(-0.3)
 
 
+def shil_model(offset=0.0, order=2, strength=0.2, num_oscillators=4):
+    """A batched oscillator model carrying only the SHIL injection (no coupling)."""
+    return BatchedOscillatorModel(
+        coupling=FastSharedCoupling(np.zeros((num_oscillators, num_oscillators))),
+        num_oscillators=num_oscillators,
+        shil_strength=strength,
+        shil_offset=offset,
+        shil_order=order,
+    )
+
+
+def stable_locks(offset=0.0, order=2, points=3600):
+    """Sorted phases in [0, 2*pi) where the SHIL torque crosses zero from + to -."""
+    step = 2.0 * np.pi / points
+    # Sample between multiples of the step so no lock phase lies on a sample.
+    grid = (np.arange(points) + 0.5) * step
+    torque = shil_model(offset, order, num_oscillators=points).shil_term(grid.reshape(1, -1))[0]
+    crossings = (torque > 0) & (np.roll(torque, -1) < 0)
+    return np.sort(np.mod(grid[crossings] + step / 2, 2.0 * np.pi))
+
+
 class TestShil:
+    """SHIL is modelled by the phase dynamics' restoring term ``-K_s sin(m (theta - phi))``.
+
+    SHIL 1 is lock-grid offset 0, SHIL 2 the stage-2 offset that
+    :func:`repro.core.stages.group_offsets` assigns to group 1 (pi/2), and the
+    single-stage ROPM baseline's N-SHIL is order ``m = N``.
+    """
+
     def test_shil_runs_at_twice_the_frequency(self):
-        source = shil1(ghz(1.3))
-        assert source.frequency == pytest.approx(2 * ghz(1.3))
-        assert source.order == 2
+        model = shil_model(num_oscillators=7)
+        assert model.shil_order == 2
+        # A 2nd-harmonic injection repeats every half cycle of the fundamental.
+        phases = np.linspace(0.0, np.pi, 7).reshape(1, -1)
+        assert np.allclose(model.shil_term(phases), model.shil_term(phases + np.pi), atol=1e-12)
 
     def test_shil1_locks_at_0_and_180(self):
-        assert np.allclose(shil1().lock_phases(), [0.0, np.pi])
+        assert np.allclose(stable_locks(offset=0.0), [0.0, np.pi], atol=1e-2)
 
     def test_shil2_locks_at_90_and_270(self):
-        assert np.allclose(shil2().lock_phases(), [np.pi / 2, 3 * np.pi / 2])
+        shil2_offset = group_offsets(np.array([0, 1]), stage_index=2)[1]
+        locks = stable_locks(offset=shil2_offset)
+        assert np.allclose(locks, [np.pi / 2, 3 * np.pi / 2], atol=1e-2)
 
     def test_n_shil_lock_count(self):
-        source = n_shil(3)
-        assert source.num_lock_phases == 3
-        assert np.allclose(source.lock_phases(), [0, 2 * np.pi / 3, 4 * np.pi / 3])
+        locks = stable_locks(order=3)
+        assert len(locks) == 3
+        assert np.allclose(locks, [0, 2 * np.pi / 3, 4 * np.pi / 3], atol=1e-2)
 
     def test_lock_phases_are_stable_points_of_the_restoring_torque(self):
-        for source in (shil1(), shil2(), n_shil(3)):
-            locks = source.lock_phases()
-            assert np.allclose(source.restoring_torque(locks), 0.0, atol=1e-12)
+        cases = (
+            (0.0, 2, [0.0, np.pi]),
+            (np.pi / 2, 2, [np.pi / 2, 3 * np.pi / 2]),
+            (0.0, 3, [0.0, 2 * np.pi / 3, 4 * np.pi / 3]),
+        )
+        for offset, order, locks in cases:
+            model = shil_model(offset=offset, order=order, num_oscillators=len(locks))
+            locks = np.array([locks])
+            assert np.allclose(model.shil_term(locks), 0.0, atol=1e-12)
             # Slightly off a lock phase, the torque pushes back towards it.
             epsilon = 1e-3
-            assert np.all(source.restoring_torque(locks + epsilon) < 0)
-            assert np.all(source.restoring_torque(locks - epsilon) > 0)
+            assert np.all(model.shil_term(locks + epsilon) < 0)
+            assert np.all(model.shil_term(locks - epsilon) > 0)
 
     def test_value_is_bounded(self):
-        source = shil1()
-        times = np.linspace(0, 3 / source.frequency, 50)
-        values = np.array([source.value(t) for t in times])
-        assert np.all(np.abs(values) <= 1.0)
+        model = shil_model(strength=0.3, num_oscillators=50)
+        phases = np.linspace(0.0, 2.0 * np.pi, 50).reshape(1, -1)
+        assert np.all(np.abs(model.shil_term(phases)) <= 0.3 + 1e-12)
 
     def test_with_strength(self):
-        assert shil1().with_strength(0.5).strength == 0.5
-
-    def test_validation(self):
-        with pytest.raises(CircuitError):
-            ShilSource(order=1)
-        with pytest.raises(CircuitError):
-            ShilSource(strength=-0.1)
-        with pytest.raises(CircuitError):
-            ShilSource(waveform="triangle")
+        phases = np.array([[0.1, 0.7, 2.0, 4.0]])
+        weak = shil_model(strength=0.2).shil_term(phases)
+        strong = shil_model(strength=0.5).shil_term(phases)
+        assert np.allclose(strong, weak * 2.5)

@@ -210,6 +210,7 @@ class TestErrorExits:
             ["campaign", "status", "nope"],
             ["campaign", "report", "nope"],
             ["campaign", "resume", "nope"],
+            ["campaign", "watch", "nope", "--once"],
             ["cache", "export", "x.tgz", "--run-id", "nope"],
         ],
         ids=" ".join,
@@ -235,6 +236,22 @@ class TestErrorExits:
         assert completed.returncode == 1
         assert completed.stderr.startswith("msropm: error: unknown campaign run")
         assert "Traceback" not in completed.stderr
+
+    def test_reader_closing_stdout_early_is_a_normal_end(self):
+        import os
+        import subprocess
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "workloads", "list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # Closed before the command writes anything, so every write hits EPIPE.
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait() == 0
+        assert stderr == ""
 
 
 class TestRuntimeFlags:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.integrate import solve_ivp
 
 from repro.exceptions import SimulationError
 from repro.circuit import paper_rosc
@@ -22,7 +23,6 @@ from repro.dynamics import (
     exponential_settle,
     integrate_euler_maruyama,
     integrate_rk4,
-    integrate_scipy,
     linear_ramp,
     perturbed_phases,
     random_initial_phases,
@@ -31,6 +31,23 @@ from repro.dynamics import (
 )
 from repro.graphs import cycle_graph, kings_graph
 from repro.rng import ReplicaRNG, make_rng
+
+
+def integrate_scipy(rhs, initial_phases, duration):
+    """Adaptive RK45 reference (:func:`scipy.integrate.solve_ivp`) for the fixed-step integrators."""
+    if duration <= 0:
+        raise SimulationError(f"duration must be positive, got {duration}")
+    solution = solve_ivp(
+        rhs,
+        (0.0, duration),
+        np.asarray(initial_phases, dtype=float),
+        t_eval=np.linspace(0.0, duration, 501),
+        rtol=1e-7,
+        atol=1e-9,
+        method="RK45",
+    )
+    assert solution.success, solution.message
+    return Trajectory(times=solution.t, phases=solution.y.T)
 
 
 def two_oscillator_model(rate=1e9, shil_strength=0.0, shil_offset=0.0, order=2):

@@ -408,7 +408,7 @@ class TestObservabilityCli:
 
     def test_watch_unknown_run(self, tmp_path, capsys):
         rc = main(["campaign", "watch", "ghost", "--cache-dir", str(tmp_path), "--once"])
-        assert rc == 2
+        assert rc == 1
         assert "unknown campaign run" in capsys.readouterr().err
 
     def test_report_byte_identical_and_cache_presence(self, tmp_path, capsys):
