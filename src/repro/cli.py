@@ -981,8 +981,8 @@ COMMANDS = [
     (("cache",), "inspect and maintain the content-addressed artifact store", [], None),
     (("cache", "stats"), "entry counts and bytes, total and per namespace", ["--cache-dir"],
      _cache_stats),
-    (("cache", "verify"), "integrity sweep: re-hash every envelope; exit 1 if corrupt "
-     "entries remain", ["--cache-dir", "--prune"], _cache_verify),
+    (("cache", "verify"), "integrity sweep: check every entry's stored payload bytes "
+     "against its hash; exit 1 if corrupt entries remain", ["--cache-dir", "--prune"], _cache_verify),
     (("cache", "gc"), "sweep schema-stale and corrupt entries (already read as misses)",
      ["--cache-dir", "--drop-unreferenced"], _cache_gc),
     (("cache", "export"), "write verified entries to a portable result bundle (tar.gz)", [

@@ -9,7 +9,9 @@ kind filters match.  Three sink flavors ship:
     the run ledger uses, so a tailing consumer tolerates a torn final line.
 :class:`WebhookSink`
     POSTs each event as JSON to an HTTP endpoint (stdlib ``urllib`` — no new
-    dependency).  The opener is injectable so tests never open sockets.
+    dependency, imported by the sink itself so that processes without a
+    webhook never load it).  The opener is injectable so tests never open
+    sockets.
 :class:`CallbackSink`
     Invokes an in-process callable (library embedders, tests).
 
@@ -24,7 +26,6 @@ catches everything, so even a buggy custom sink cannot kill a run.
 from __future__ import annotations
 
 import json
-import urllib.request
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -122,6 +123,8 @@ class WebhookSink(Sink):
     ) -> None:
         if not url.startswith(("http://", "https://")):
             raise SinkEmitError(f"webhook URL must be http(s), got {url!r}")
+        import urllib.request
+
         self.url = url
         self.timeout = timeout
         self._opener = opener if opener is not None else urllib.request.urlopen
@@ -129,6 +132,8 @@ class WebhookSink(Sink):
         self.errors = 0
 
     def emit(self, event: Dict[str, Any]) -> None:
+        import urllib.request
+
         body = json.dumps(event, sort_keys=True).encode("utf-8")
         request = urllib.request.Request(
             self.url,

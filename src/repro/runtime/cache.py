@@ -8,14 +8,17 @@ already computed.  The cache stores each job's results under its content hash
 instead of simulations.
 
 Layout: ``<root>/<hash[:2]>/<hash>.json`` — two-level sharding keeps
-directories small on large sweeps.  Entries are JSON envelopes carrying the
-cache schema version, the job description, an **integrity hash** (SHA-256 of
-the canonical payload JSON) and the results serialized via
-:mod:`repro.analysis.results_io`.  *Any* failure to read an entry — missing
-file, corrupt JSON, an envelope/results schema mismatch, an integrity
-mismatch — is treated as a miss and the entry is rewritten after
-recomputation, so format evolution and on-disk corruption both invalidate
-entries cleanly instead of erroring.
+directories small on large sweeps.  Each entry is the canonical JSON (sorted
+keys, no whitespace) of an envelope carrying the cache schema version, the
+job description, an **integrity hash** (SHA-256 of the canonical payload
+JSON) and the results serialized via :mod:`repro.analysis.results_io`.  The
+payload key sorts after every header key, so the payload's canonical bytes
+are one span running to the file's closing brace: a reader hashes that span
+as stored and never re-encodes the payload.  *Any* failure to read an entry
+— missing file, corrupt JSON, an envelope/results schema mismatch, a
+non-canonical layout, an integrity mismatch — is treated as a miss and the
+entry is rewritten after recomputation, so format evolution and on-disk
+corruption both invalidate entries cleanly instead of erroring.
 
 Beyond load/store, the store is a first-class *artifact store* for fleet
 execution:
@@ -46,11 +49,11 @@ import re
 import tarfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import get_metrics
-from repro.runtime.atomic import atomic_output, write_atomic_json
+from repro.runtime.atomic import atomic_output, write_atomic_bytes
 from repro.runtime.jobs import Job, canonical_json
 
 #: Version of the cache envelope.  Bump on envelope layout changes; old
@@ -61,8 +64,11 @@ from repro.runtime.jobs import Job, canonical_json
 #: whatever the job type serializes).  3 — artifact-store envelopes: every
 #: entry carries an ``integrity`` SHA-256 of its canonical payload JSON, so
 #: corruption is detected on load, verified by ``msropm cache verify``, and
-#: checked again when importing bundles from other hosts.
-CACHE_SCHEMA_VERSION = 3
+#: checked again when importing bundles from other hosts.  4 — canonical
+#: envelopes: each entry is its envelope's canonical JSON, and the integrity
+#: hash is checked over the payload's stored byte span, so a hit never
+#: re-encodes its payload.
+CACHE_SCHEMA_VERSION = 4
 
 #: Version of the export-bundle manifest layout.
 BUNDLE_SCHEMA_VERSION = 1
@@ -90,14 +96,94 @@ def integrity_hash(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def _encode_body(payload: Any) -> bytes:
+    """A payload's canonical JSON bytes, the span :func:`integrity_hash`
+    covers.  No ``default``, unlike :func:`canonical_json`: a value that is
+    not plain JSON raises ``TypeError`` instead of being stored as a str."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _prefix(header: Dict[str, Any], body_key: str) -> bytes:
+    """An entry's bytes up to its body: the header's canonical JSON, reopened
+    for the body key, which sorts after every header key."""
+    return (canonical_json(header)[:-1] + f',"{body_key}":').encode("utf-8")
+
+
+def _entry_bytes(envelope: Dict[str, Any], body_key: str) -> bytes:
+    """The stored form of ``envelope``, whose ``body_key`` member arrives
+    already encoded by :func:`_encode_body`: the envelope's canonical JSON."""
+    header = dict(envelope)
+    body = header.pop(body_key)
+    return _prefix(header, body_key) + body + b"}"
+
+
+class _Unsound(ValueError):
+    """An entry that cannot be used; ``args`` are ``(status, detail)``, the
+    status ``stale`` or ``corrupt`` as in :class:`CacheEntryInfo`."""
+
+
+class _Entry(NamedTuple):
+    """A verified entry: its namespace, its key, the header and the body."""
+
+    kind: str  # "result" for job entries, else the payload namespace
+    key: str
+    header: Dict[str, Any]  # the envelope without its body
+    body: Any
+
+
+def _read_entry(data: bytes, kind: Optional[str] = None, key: Optional[str] = None) -> _Entry:
+    """Parse and verify an entry's bytes.
+
+    ``kind`` is ``"result"`` for job entries, else the payload namespace, and
+    ``key`` the hash the entry must claim; left ``None`` (a bundle member),
+    both are taken from the entry.  The integrity hash is checked over the
+    body's byte span as stored, found by rebuilding the canonical prefix from
+    the parsed header, so a non-canonical file fails it too.  Raises
+    :class:`_Unsound` naming the first check that failed.
+    """
+    try:
+        header = json.loads(data)
+    except ValueError:
+        raise _Unsound("corrupt", "unreadable JSON") from None
+    if not isinstance(header, dict):
+        raise _Unsound("corrupt", "unreadable JSON")
+    if kind is None:
+        kind = "result" if "job_hash" in header else header.get("kind")
+    if kind == "result":
+        claimed, body_key = header.get("job_hash"), "result"
+    else:
+        claimed, body_key = header.get("key"), "payload"
+        if header.get("kind") != kind:
+            raise _Unsound("corrupt", "payload kind mismatch")
+    if claimed != key and key is not None:
+        raise _Unsound("corrupt", "key/filename mismatch")
+    schema = header.get("cache_schema")
+    if not isinstance(schema, int) or schema > CACHE_SCHEMA_VERSION:
+        raise _Unsound("corrupt", "unknown schema")
+    if schema < CACHE_SCHEMA_VERSION:
+        raise _Unsound("stale", f"schema {schema}")
+    body = header.pop(body_key, None)
+    prefix = _prefix(header, body_key)
+    if not (
+        data.startswith(prefix)
+        and hashlib.sha256(data[len(prefix):-1]).hexdigest() == header.get("integrity")
+    ):
+        raise _Unsound("corrupt", "integrity mismatch")
+    # A job entry's key is the content hash of the description it stores.
+    if kind == "result" and integrity_hash(header.get("job")) != claimed:
+        raise _Unsound("corrupt", "job description mismatch")
+    return _Entry(kind, claimed, header, body)
+
+
 @dataclass(frozen=True)
 class CacheEntryInfo:
     """One scanned entry: where it lives, what it is, and whether it is sound.
 
     ``status`` is one of ``ok`` (schema-current, integrity verified),
     ``stale`` (readable but written under an older schema — a format bump
-    already invalidates these as misses) or ``corrupt`` (unreadable JSON,
-    a key/filename mismatch, or an integrity-hash mismatch).
+    already invalidates these as misses) or ``corrupt`` (unreadable JSON, a
+    key/filename or job-description mismatch, or an integrity mismatch,
+    which a non-canonical layout is too).
     """
 
     path: Path
@@ -148,32 +234,22 @@ class ResultCache:
 
         ``payload`` is the stored payload and ``result`` the job's decoding
         of it; keeping both lets a caller serve the payload without encoding
-        the result again.  Unreadable, schema-mismatched and integrity-failed
-        entries count as misses by design: they will be overwritten by the
-        recomputed result.  The job itself decodes and validates the stored
-        payload, so a partial or foreign entry under our key
-        (``job.validate`` fails) also reads as a miss.
+        the result again.  An entry that fails :func:`_read_entry`, or the
+        job's own decode and ``validate``, reads as a stale miss and is
+        overwritten by the recomputed result.
         """
         if not job.cacheable:
             return None
-        path = self.path_for(job.job_hash)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = self.path_for(job.job_hash).read_bytes()
         except OSError:
             # No entry on disk: the ordinary cold miss.
             self.misses += 1
             get_metrics().inc("cache.misses")
             return None
         try:
-            envelope = json.loads(text)
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("cache_schema") != CACHE_SCHEMA_VERSION
-                or envelope.get("job_hash") != job.job_hash
-                or envelope.get("integrity") != integrity_hash(envelope.get("result"))
-            ):
-                raise ReproError("cache envelope mismatch")
-            result = job.decode(envelope["result"])
+            payload = _read_entry(data, "result", job.job_hash).body
+            result = job.decode(payload)
             if not job.validate(result):
                 raise ReproError("cache entry fails job validation")
         except (OSError, ValueError, KeyError, TypeError, IndexError, ReproError):
@@ -187,49 +263,41 @@ class ResultCache:
             return None
         self.hits += 1
         get_metrics().inc("cache.hits")
-        return result, envelope["result"]
+        return result, payload
 
     def load_envelope(self, job_hash: str) -> Optional[Dict]:
         """Return the raw, integrity-verified envelope stored under a hash.
 
-        This is the fetch path for callers that hold only a content hash and
-        no :class:`~repro.runtime.jobs.Job` object — a restarted service
-        answering a fetch for a ticket issued by a previous process.  The
-        envelope's ``result`` member is the job's persisted payload form,
-        exactly what the job stored.  Hit/miss counters are *not* touched:
-        this is an artifact read, not an execution-path cache probe.
+        The fetch path for callers that hold a content hash but no
+        :class:`~repro.runtime.jobs.Job` (a restarted service answering a
+        fetch for a ticket of a previous process); ``result`` is exactly the
+        payload the job stored.  Hit/miss counters are *not* touched.
         """
         if not _HASH_RE.match(job_hash):
             return None
-        path = self.path_for(job_hash)
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("cache_schema") != CACHE_SCHEMA_VERSION
-                or envelope.get("job_hash") != job_hash
-                or envelope.get("integrity") != integrity_hash(envelope.get("result"))
-            ):
-                return None
-        except (OSError, ValueError, KeyError, TypeError):
+            data = self.path_for(job_hash).read_bytes()
+            entry = _read_entry(data, "result", job_hash)
+        except (OSError, ValueError):
             return None
-        return envelope
+        return {**entry.header, "result": entry.body}
 
     def store(self, job: Job, payload: Dict) -> None:
         """Persist ``payload``, the job's serialized result (what
         ``job.execute`` returned), for ``job`` (atomic write, last writer
-        wins).  The payload is stored as given, so a computed result is
-        encoded exactly once, by its worker."""
+        wins).  The payload is stored as given and serialized once, so a
+        computed result is encoded exactly once, by its worker."""
         if not job.cacheable:
             return
+        body = _encode_body(payload)
         envelope = {
             "cache_schema": CACHE_SCHEMA_VERSION,
             "job_hash": job.job_hash,
             "job": job.describe(),
-            "integrity": integrity_hash(payload),
-            "result": payload,
+            "integrity": hashlib.sha256(body).hexdigest(),
+            "result": body,
         }
-        self._write_atomic(self.path_for(job.job_hash), envelope)
+        write_atomic_bytes(self.path_for(job.job_hash), _entry_bytes(envelope, "result"))
         self.stores += 1
         get_metrics().inc("cache.stores")
 
@@ -241,40 +309,30 @@ class ResultCache:
         return self.root / kind / key_hash[:2] / f"{key_hash}.json"
 
     def load_payload(self, kind: str, key_hash: str) -> Optional[Dict]:
-        """Return the cached ``kind`` payload for ``key_hash``, or ``None``.
-
-        Same semantics as :meth:`load`: any unreadable, schema-mismatched or
-        integrity-failed entry counts as a miss and is overwritten on the
-        next store.
-        """
-        path = self.payload_path(kind, key_hash)
+        """Return the cached ``kind`` payload for ``key_hash``, or ``None``:
+        as in :meth:`load`, an unsound entry is a miss, overwritten on store."""
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("cache_schema") != CACHE_SCHEMA_VERSION
-                or envelope.get("kind") != kind
-                or envelope.get("key") != key_hash
-                or not isinstance(envelope.get("payload"), dict)
-                or envelope.get("integrity") != integrity_hash(envelope.get("payload"))
-            ):
-                raise ReproError("payload envelope mismatch")
-        except (OSError, ValueError, KeyError, TypeError, ReproError):
+            data = self.payload_path(kind, key_hash).read_bytes()
+            payload = _read_entry(data, kind, key_hash).body
+        except (OSError, ValueError):
+            payload = None
+        if not isinstance(payload, dict):
             self.payload_misses += 1
             return None
         self.payload_hits += 1
-        return envelope["payload"]
+        return payload
 
     def store_payload(self, kind: str, key_hash: str, payload: Dict) -> None:
         """Persist a ``kind`` payload under ``key_hash`` (atomic write)."""
+        body = _encode_body(payload)
         envelope = {
             "cache_schema": CACHE_SCHEMA_VERSION,
             "kind": kind,
             "key": key_hash,
-            "integrity": integrity_hash(payload),
-            "payload": payload,
+            "integrity": hashlib.sha256(body).hexdigest(),
+            "payload": body,
         }
-        self._write_atomic(self.payload_path(kind, key_hash), envelope)
+        write_atomic_bytes(self.payload_path(kind, key_hash), _entry_bytes(envelope, "payload"))
         self.payload_stores += 1
 
     # ------------------------------------------------------------------
@@ -309,83 +367,50 @@ class ResultCache:
         """Classify one entry file (the verify sweep's unit of work)."""
         key = path.stem
         try:
-            size = path.stat().st_size
+            data = path.read_bytes()
         except OSError:
-            size = 0
+            data = b""
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(envelope, dict):
-                raise ValueError("envelope is not an object")
-        except (OSError, ValueError):
-            return CacheEntryInfo(path, kind, key, size, "corrupt", "unreadable JSON")
-        schema = envelope.get("cache_schema")
-        if kind == "result":
-            claimed, body = envelope.get("job_hash"), envelope.get("result")
-        else:
-            claimed, body = envelope.get("key"), envelope.get("payload")
-            if envelope.get("kind") != kind:
-                return CacheEntryInfo(
-                    path, kind, key, size, "corrupt", "payload kind mismatch"
-                )
-        if claimed != key:
-            return CacheEntryInfo(path, kind, key, size, "corrupt", "key/filename mismatch")
-        if not isinstance(schema, int) or schema > CACHE_SCHEMA_VERSION:
-            return CacheEntryInfo(path, kind, key, size, "corrupt", "unknown schema")
-        if schema < CACHE_SCHEMA_VERSION:
-            return CacheEntryInfo(path, kind, key, size, "stale", f"schema {schema}")
-        if envelope.get("integrity") != integrity_hash(body):
-            return CacheEntryInfo(path, kind, key, size, "corrupt", "integrity mismatch")
-        return CacheEntryInfo(path, kind, key, size, "ok")
+            _read_entry(data, kind, key)
+        except _Unsound as unsound:
+            return CacheEntryInfo(path, kind, key, len(data), *unsound.args)
+        return CacheEntryInfo(path, kind, key, len(data), "ok")
 
     def stats(self) -> Dict[str, Any]:
         """Inventory: entry counts and bytes, total and per namespace."""
         by_kind: Dict[str, Dict[str, int]] = {}
-        total_entries = 0
-        total_bytes = 0
         for info in self.scan():
             bucket = by_kind.setdefault(info.kind, {"entries": 0, "bytes": 0})
             bucket["entries"] += 1
             bucket["bytes"] += info.size
-            total_entries += 1
-            total_bytes += info.size
         return {
             "root": str(self.root),
             "cache_schema": CACHE_SCHEMA_VERSION,
-            "entries": total_entries,
-            "bytes": total_bytes,
+            "entries": sum(bucket["entries"] for bucket in by_kind.values()),
+            "bytes": sum(bucket["bytes"] for bucket in by_kind.values()),
             "kinds": by_kind,
         }
 
     def verify(self, prune: bool = False) -> Dict[str, Any]:
-        """Integrity sweep: re-hash every envelope and report the unsound ones.
+        """Integrity sweep: check every entry's stored bytes; report the unsound ones.
 
         Returns counters plus the paths of corrupt entries; with ``prune``
         the corrupt entries are deleted (stale ones are left for :meth:`gc` —
         they are already treated as misses and may still be wanted for
         forensics).
         """
-        ok = stale = corrupt = pruned = 0
+        counts = {"ok": 0, "stale": 0, "corrupt": 0, "pruned": 0}
         corrupt_entries: List[Dict[str, str]] = []
         for info in self.scan():
-            if info.status == "ok":
-                ok += 1
-            elif info.status == "stale":
-                stale += 1
-            else:
-                corrupt += 1
+            counts[info.status] += 1
+            if info.status == "corrupt":
                 corrupt_entries.append(
                     {"path": str(info.path), "kind": info.kind, "detail": info.detail}
                 )
                 if prune:
                     info.path.unlink(missing_ok=True)
-                    pruned += 1
-        return {
-            "ok": ok,
-            "stale": stale,
-            "corrupt": corrupt,
-            "pruned": pruned,
-            "corrupt_entries": corrupt_entries,
-        }
+                    counts["pruned"] += 1
+        return {**counts, "corrupt_entries": corrupt_entries}
 
     def gc(self, referenced: Optional[Iterable[str]] = None) -> Dict[str, int]:
         """Sweep unusable entries; optionally also everything unreferenced.
@@ -401,12 +426,9 @@ class ResultCache:
         keep: Optional[Set[str]] = None if referenced is None else set(referenced)
         removed = {"stale": 0, "corrupt": 0, "unreferenced": 0, "kept": 0}
         for info in self.scan():
-            if info.status == "stale":
+            if info.status != "ok":  # stale or corrupt
                 info.path.unlink(missing_ok=True)
-                removed["stale"] += 1
-            elif info.status == "corrupt":
-                info.path.unlink(missing_ok=True)
-                removed["corrupt"] += 1
+                removed[info.status] += 1
             elif keep is not None and info.kind == "result" and info.key not in keep:
                 info.path.unlink(missing_ok=True)
                 removed["unreferenced"] += 1
@@ -500,67 +522,45 @@ class ResultCache:
         """Merge a bundle exported elsewhere into this store.
 
         Every member is parsed and integrity-verified *before* installation —
-        a tampered or truncated bundle contributes nothing — and installation
-        paths are derived from the verified envelope contents, never from
-        archive member names, so a malicious bundle cannot traverse outside
-        the store.  Existing entries are kept (results are content-addressed;
-        identical keys hold identical payloads).  Returns counters.
+        a tampered or truncated member is rejected, and a damaged stream ends
+        the import — and installation paths are derived from the verified
+        entry, never from archive member names, so a malicious bundle cannot
+        traverse outside the store.  Existing entries are kept (results are
+        content-addressed; identical keys hold identical payloads).  Returns
+        counters.
         """
         counters = {"imported": 0, "existing": 0, "rejected": 0}
         with tarfile.open(bundle_path, "r:*") as tar:
             for member in tar:
                 if not member.isfile() or member.name == "manifest.json":
                     continue
-                handle = tar.extractfile(member)
-                if handle is None:
-                    counters["rejected"] += 1
-                    continue
                 try:
-                    envelope = json.loads(handle.read().decode("utf-8"))
-                    if not isinstance(envelope, dict):
-                        raise ValueError("not an object")
-                except (OSError, ValueError):
+                    data = tar.extractfile(member).read()
+                except OSError:  # a damaged stream (bad gzip CRC): nothing past it reads
                     counters["rejected"] += 1
-                    continue
-                target = self._install_target(envelope)
+                    break
+                target = self._install_target(data)
                 if target is None:
                     counters["rejected"] += 1
-                    continue
-                if target.exists():
+                elif target.exists():
                     counters["existing"] += 1
-                    continue
-                self._write_atomic(target, envelope)
-                counters["imported"] += 1
+                else:
+                    write_atomic_bytes(target, data)
+                    counters["imported"] += 1
         return counters
 
-    def _install_target(self, envelope: Dict) -> Optional[Path]:
-        """Verified install path for an imported envelope (``None`` = reject)."""
-        if envelope.get("cache_schema") != CACHE_SCHEMA_VERSION:
+    def _install_target(self, data: bytes) -> Optional[Path]:
+        """Verified install path for an imported entry's bytes (``None`` = reject)."""
+        try:
+            kind, key, _, _ = _read_entry(data)
+        except _Unsound:
             return None
-        if "job_hash" in envelope:
-            key = envelope.get("job_hash")
-            if (
-                not isinstance(key, str)
-                or not _HASH_RE.match(key)
-                or envelope.get("integrity") != integrity_hash(envelope.get("result"))
-            ):
-                return None
-            return self.path_for(key)
-        kind, key = envelope.get("kind"), envelope.get("key")
-        if (
-            not isinstance(kind, str)
-            or not isinstance(key, str)
-            or not _HASH_RE.match(key)
-            or _SHARD_RE.match(kind)  # a payload kind must not shadow a shard
-            or not re.match(r"^[A-Za-z0-9_.-]+$", kind)
-            or kind in (".", "..")
-            or envelope.get("integrity") != integrity_hash(envelope.get("payload"))
-        ):
+        safe_kind = kind == "result" or (
+            isinstance(kind, str)
+            and not _SHARD_RE.match(kind)  # a payload kind must not shadow a shard
+            and re.match(r"^[A-Za-z0-9_.-]+$", kind)
+            and kind not in (".", "..")
+        )
+        if not (safe_kind and isinstance(key, str) and _HASH_RE.match(key)):
             return None
-        return self.payload_path(kind, key)
-
-    # ------------------------------------------------------------------
-    def _write_atomic(self, path: Path, envelope: Dict) -> None:
-        """Write-to-temp + rename so concurrent runners never observe a torn
-        entry; os.replace is atomic within one filesystem."""
-        write_atomic_json(path, envelope)
+        return self.path_for(key) if kind == "result" else self.payload_path(kind, key)

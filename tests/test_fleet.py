@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from cache_envelopes import envelope_bytes, write_envelope
 from repro.circuit.control import TimingPlan
 from repro.core.config import MSROPMConfig
 from repro.exceptions import ConfigurationError
@@ -508,7 +509,7 @@ class TestArtifactStore:
         path = store.path_for(job.job_hash)
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["result"]["sum"] = 999  # integrity hash now disagrees
-        path.write_text(json.dumps(envelope), encoding="utf-8")
+        write_envelope(path, envelope)
 
     def test_envelopes_carry_integrity_hashes(self, tmp_path):
         store, jobs = self._store_with_jobs(tmp_path / "cache")
@@ -543,7 +544,7 @@ class TestArtifactStore:
         path = store.path_for(jobs[1].job_hash)
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["cache_schema"] = CACHE_SCHEMA_VERSION - 1
-        path.write_text(json.dumps(envelope), encoding="utf-8")
+        write_envelope(path, envelope)
         removed = store.gc(referenced={jobs[2].job_hash})
         assert removed == {"stale": 1, "corrupt": 1, "unreferenced": 0, "kept": 1}
         assert store.load(jobs[2])[0] == {"sum": 3}
@@ -615,7 +616,7 @@ class TestArtifactStore:
                 (f"entries/{fake_hash[:2]}/{fake_hash}.json", bad_integrity),
                 ("payloads/../../escape.json", traversal),
             ):
-                data = json.dumps(envelope).encode("utf-8")
+                data = envelope_bytes(envelope)
                 info = tarfile.TarInfo(name)
                 info.size = len(data)
                 tar.addfile(info, io_module.BytesIO(data))
@@ -680,7 +681,7 @@ class TestFleetCLI:
             store.store(job, job.execute())
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         out = capsys.readouterr().out
-        assert "result" in out and "schema v3" in out
+        assert "result" in out and "schema v4" in out
 
         assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 0
         assert "2 ok" in capsys.readouterr().out
@@ -689,7 +690,7 @@ class TestFleetCLI:
         path = store.path_for(jobs[0].job_hash)
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["result"]["sum"] = 999
-        path.write_text(json.dumps(envelope), encoding="utf-8")
+        write_envelope(path, envelope)
         assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
         assert "1 corrupt" in capsys.readouterr().out
         assert main(["cache", "verify", "--prune", "--cache-dir", str(cache_dir)]) == 0

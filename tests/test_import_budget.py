@@ -9,6 +9,11 @@ imported inside the function that needs them, as
 imported only by ``msropm serve``.  The circuit modules listed here were
 deleted and must stay gone.
 
+A solver process that never speaks HTTP (perfbench's ``paper-*`` workloads
+import ``repro.runtime.runner`` and nothing else of the program) loads no
+HTTP stack: ``urllib.request`` is imported inside ``WebhookSink``, and with
+it ``http.client`` and ``ssl``.
+
 The check runs ``python -X importtime`` in a fresh interpreter and, on
 failure, names the import chain that first loaded the module.
 """
@@ -35,6 +40,9 @@ FORBIDDEN = (
     "repro.circuit.dff",
     "repro.circuit.shil",
 )
+
+#: Modules a fresh ``import repro.runtime.runner`` must not load.
+RUNNER_FORBIDDEN = ("urllib.request", "http.client", "ssl")
 
 
 def import_chains(module: str) -> Dict[str, List[str]]:
@@ -82,3 +90,16 @@ def test_chains_name_the_importer(cli_imports):
 def test_cli_start_up_does_not_load(cli_imports, module):
     chain = cli_imports.get(module)
     assert chain is None, f"import repro.cli loads {module}: " + " -> ".join(chain)
+
+
+@pytest.fixture(scope="module")
+def runner_imports() -> Dict[str, List[str]]:
+    return import_chains("repro.runtime.runner")
+
+
+@pytest.mark.parametrize("module", RUNNER_FORBIDDEN)
+def test_runner_start_up_does_not_load(runner_imports, module):
+    chain = runner_imports.get(module)
+    assert chain is None, (
+        f"import repro.runtime.runner loads {module}: " + " -> ".join(chain)
+    )

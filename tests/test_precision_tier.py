@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cache_envelopes import write_envelope
 from repro.exceptions import ConfigurationError, StageError
 from repro.core.config import MSROPMConfig
 from repro.core.machine import MSROPM
@@ -300,7 +301,7 @@ class TestStaleMisses:
         path = cache.path_for(job.job_hash)
         envelope = json.loads(path.read_text(encoding="utf-8"))
         envelope["cache_schema"] = -1
-        path.write_text(json.dumps(envelope), encoding="utf-8")
+        write_envelope(path, envelope)
         assert cache.load(job) is None
         assert cache.stale_misses == 1
 

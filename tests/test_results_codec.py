@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cache_envelopes import write_envelope
 from repro.analysis.results_io import (
     FORMAT_VERSION,
     MAX_COLORS,
@@ -334,7 +335,6 @@ def test_malformed_payload_raises_analysis_error(fast_config, name):
 def _write_entry(cache: ResultCache, job: SolveJob, payload) -> None:
     """Install ``payload`` under ``job``'s key with a valid envelope."""
     path = cache.path_for(job.job_hash)
-    path.parent.mkdir(parents=True, exist_ok=True)
     envelope = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {
         "cache_schema": CACHE_SCHEMA_VERSION,
         "job_hash": job.job_hash,
@@ -342,7 +342,7 @@ def _write_entry(cache: ResultCache, job: SolveJob, payload) -> None:
     }
     envelope["result"] = payload
     envelope["integrity"] = integrity_hash(payload)
-    path.write_text(json.dumps(envelope), encoding="utf-8")
+    write_envelope(path, envelope)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMATIONS))
@@ -352,6 +352,10 @@ def test_malformed_entry_reads_as_stale_miss(fast_config, tmp_path, name):
     cache = ResultCache(tmp_path)
     payload = job.execute()
     cache.store(job, payload)
+    assert cache.load(job) is not None
+    # Positive control: the unmodified payload written by hand is a hit, so
+    # the miss below is the malformation's doing, not the writer's.
+    _write_entry(cache, job, payload)
     assert cache.load(job) is not None
     MALFORMATIONS[name](payload)
     _write_entry(cache, job, payload)

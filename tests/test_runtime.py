@@ -206,16 +206,18 @@ class TestResultCache:
         cache.store(job, job.encode(job.run()))
         path = cache.path_for(job.job_hash)
 
-        from repro.runtime.cache import CACHE_SCHEMA_VERSION
+        from cache_envelopes import write_envelope
+        from repro.runtime.cache import CACHE_SCHEMA_VERSION, integrity_hash
 
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["cache_schema"] = 999
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        write_envelope(path, payload)
         assert cache.load(job) is None
 
         payload["cache_schema"] = CACHE_SCHEMA_VERSION
         payload["result"]["format_version"] = 1  # stale results schema
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        payload["integrity"] = integrity_hash(payload["result"])
+        write_envelope(path, payload)
         assert cache.load(job) is None
 
         path.write_text("{not json", encoding="utf-8")
