@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.analysis import accuracy_series_text, text_histogram
-from repro.experiments import FIGURE5_SIZES, run_figure5
+from repro.experiments import FIGURE5_SIZES, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +26,15 @@ def figure5_sizes(bench_scale):
 def test_bench_figure5a_coloring_accuracy(benchmark, bench_config, bench_scale, bench_iterations, figure5_sizes):
     result = run_once(
         benchmark,
-        run_figure5,
-        sizes=figure5_sizes,
-        iterations=bench_iterations,
-        scale=bench_scale,
-        config=bench_config,
-        seed=2025,
+        run_experiment,
+        "fig5",
+        dict(
+            sizes=figure5_sizes,
+            iterations=bench_iterations,
+            scale=bench_scale,
+            config=bench_config,
+            seed=2025,
+        ),
     )
     print()
     print("Figure 5(a): 2nd-stage 4-coloring accuracy per iteration")
@@ -49,12 +52,15 @@ def test_bench_figure5a_coloring_accuracy(benchmark, bench_config, bench_scale, 
 def test_bench_figure5b_maxcut_accuracy(benchmark, bench_config, bench_scale, bench_iterations, figure5_sizes):
     result = run_once(
         benchmark,
-        run_figure5,
-        sizes=figure5_sizes,
-        iterations=bench_iterations,
-        scale=bench_scale,
-        config=bench_config,
-        seed=2026,
+        run_experiment,
+        "fig5",
+        dict(
+            sizes=figure5_sizes,
+            iterations=bench_iterations,
+            scale=bench_scale,
+            config=bench_config,
+            seed=2026,
+        ),
     )
     print()
     print("Figure 5(b): 1st-stage max-cut accuracy per iteration")
@@ -68,12 +74,15 @@ def test_bench_figure5b_maxcut_accuracy(benchmark, bench_config, bench_scale, be
 def test_bench_figure5c_hamming_histograms(benchmark, bench_config, bench_scale, bench_iterations, figure5_sizes):
     result = run_once(
         benchmark,
-        run_figure5,
-        sizes=figure5_sizes,
-        iterations=bench_iterations,
-        scale=bench_scale,
-        config=bench_config,
-        seed=2027,
+        run_experiment,
+        "fig5",
+        dict(
+            sizes=figure5_sizes,
+            iterations=bench_iterations,
+            scale=bench_scale,
+            config=bench_config,
+            seed=2027,
+        ),
     )
     print()
     print("Figure 5(c): pairwise Hamming distances between the iteration solutions")

@@ -22,7 +22,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.experiments.suite import run_suite
+from repro.experiments.protocol import run_experiment
 from repro.runtime.runner import ExperimentRunner
 
 BENCH_SCALE = float(os.environ.get("REPRO_RUNTIME_BENCH_SCALE", "0.1"))
@@ -41,8 +41,8 @@ def _fingerprint(result):
 
 def _timed_suite(runner):
     start = time.perf_counter()
-    result = run_suite(
-        scale=BENCH_SCALE, iterations=BENCH_ITERATIONS, seed=BENCH_SEED, runner=runner
+    result = run_experiment(
+        "suite", dict(scale=BENCH_SCALE, iterations=BENCH_ITERATIONS, seed=BENCH_SEED), runner
     )
     return result, time.perf_counter() - start
 

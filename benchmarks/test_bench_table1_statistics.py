@@ -11,7 +11,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
 from repro.circuit import PAPER_POWER_MW
-from repro.experiments import TABLE1_SIZES, power_scaling_series, run_table1
+from repro.experiments import TABLE1_SIZES, power_scaling_series, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -23,12 +23,15 @@ def table1_sizes(bench_scale):
 def test_bench_table1_statistics(benchmark, bench_config, bench_scale, bench_iterations, table1_sizes):
     result = run_once(
         benchmark,
-        run_table1,
-        sizes=table1_sizes,
-        iterations=bench_iterations,
-        scale=bench_scale,
-        config=bench_config,
-        seed=2025,
+        run_experiment,
+        "table1",
+        dict(
+            sizes=table1_sizes,
+            iterations=bench_iterations,
+            scale=bench_scale,
+            config=bench_config,
+            seed=2025,
+        ),
     )
     print()
     print(result.render())

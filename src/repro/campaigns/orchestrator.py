@@ -11,9 +11,10 @@ reduces the batch into the stage output the downstream stages read.
 Crash-safe resume is the design center.  A killed campaign leaves (a) cache
 entries for every job that finished and (b) a ledger journal ending wherever
 the crash hit.  ``resume_campaign`` replays the journal: stages recorded
-``passed`` re-plan their jobs and resolve them entirely from the cache (their
-outputs are needed by later stages and the final report — recomputing them
-would be both wasteful and a correctness bug), the interrupted stage
+``passed`` go through the same plan, run and reduce sequence, resolving
+entirely from the cache (their outputs are needed by later stages and the
+final report — recomputing them would be both wasteful and a correctness
+bug), the interrupted stage
 re-enqueues only the jobs the cache cannot answer, and untouched stages run
 normally.  Because planners are deterministic and job results are pure
 functions of their content hash, a resumed campaign's outputs are
@@ -184,7 +185,13 @@ def run_campaign(
         _restore_machine(machine, state)
     else:
         params = dict(params or {})
-        _validate_params(spec, params)
+        if spec.params is not None:
+            # A flag the campaign would silently ignore (``--family`` on the
+            # suite) or an ill-typed value fails here, before the ledger
+            # records the run or anything is planned.
+            from repro.experiments.protocol import validate_params
+
+            validate_params(spec.params, params, f"campaign {spec.name!r}")
         if ledger is not None:
             run_id = ledger.start_run(
                 spec.name,
@@ -230,24 +237,6 @@ def run_campaign(
         resumed=resume,
         wall_time_s=time.perf_counter() - start,
     )
-
-
-def _validate_params(spec: CampaignSpec, params: Dict[str, Any]) -> None:
-    """Reject parameters the campaign does not understand.
-
-    Without this, a suite run invoked with ``--family`` (or a scenarios run
-    with ``--scale``) would silently ignore the flag *and* record it in the
-    ledger as if it had taken effect.  Specs with ``param_names=None``
-    (custom library campaigns) skip validation.
-    """
-    if spec.param_names is None:
-        return
-    unknown = sorted(set(params) - set(spec.param_names))
-    if unknown:
-        raise CampaignError(
-            f"campaign {spec.name!r} does not accept parameter(s) "
-            f"{', '.join(unknown)}; accepted: {', '.join(spec.param_names)}"
-        )
 
 
 def _restore_machine(machine: StageMachine, state: LedgerState) -> None:
@@ -317,33 +306,15 @@ def _run_stage(
     observing = ledger is not None or sinks is not None
     progress = on_job_done if observing else None
 
-    if current is StageState.PASSED:
-        # Completed before the crash: re-plan and resolve purely from the
-        # cache/memo so later stages (and the final report) see its output.
-        jobs = list(stage.plan(context))
-        jobs_before = runner.jobs_run
-        results = runner.run_jobs(jobs)
-        output = stage.reduce(context, results) if stage.reduce else results
-        context.outputs[name] = output
-        recomputed = runner.jobs_run - jobs_before
-        log(
-            f"  stage {name}: already passed, {len(jobs) - recomputed} of "
-            f"{len(jobs)} job(s) served from cache"
-        )
-        return StageReport(
-            name=name,
-            requires=machine.requires(name),
-            state=StageState.PASSED.value,
-            num_jobs=len(jobs),
-            jobs_run=recomputed,
-            description=stage.description,
-        )
-
+    # A stage that passed before a crash runs the same sequence, resolving
+    # purely from the cache/memo, so later stages (and the final report) see
+    # its output; it records nothing new in the ledger.
+    replay = current is StageState.PASSED
     if current is StageState.NOT_STARTED:
         machine.transition(name, StageState.RUNNING)
         record({"event": "stage_started"})
         log(f"  stage {name}: started")
-    else:  # RUNNING — interrupted mid-stage; continue it.
+    elif not replay:  # RUNNING — interrupted mid-stage; continue it.
         record({"event": "stage_resumed"})
         log(f"  stage {name}: resuming interrupted stage")
 
@@ -352,11 +323,14 @@ def _run_stage(
         # Planning, execution and reduction all count as the stage's work:
         # a failure in any of them fails the stage (and blocks dependents).
         jobs = list(stage.plan(context))
-        record({"event": "stage_planned", "num_jobs": len(jobs)})
-        results = runner.run_jobs(jobs, progress=progress)
+        if not replay:
+            record({"event": "stage_planned", "num_jobs": len(jobs)})
+        results = runner.run_jobs(jobs, progress=None if replay else progress)
         flush_progress()
-        output = stage.reduce(context, results) if stage.reduce else results
+        output = stage.reduce(context, jobs, results) if stage.reduce else results
     except Exception as exc:
+        if replay:
+            raise
         flush_progress()  # jobs that finished before the failure still count
         machine.transition(name, StageState.FAILED)
         record({"event": "stage_failed", "error": str(exc)})
@@ -375,19 +349,25 @@ def _run_stage(
         raise CampaignError(f"stage {name!r} of run {run_id!r} failed: {exc}") from exc
     recomputed = runner.jobs_run - jobs_before
     context.outputs[name] = output
-    record(
-        {
-            "event": "jobs_finished",
-            "job_hashes": [job.job_hash for job in jobs if job.cacheable],
-        }
-    )
-    machine.transition(name, StageState.PASSED)
-    record({"event": "stage_passed"})
-    log(
-        f"  stage {name}: passed "
-        f"({len(jobs)} job(s), {recomputed} computed, {len(jobs) - recomputed} served)"
-    )
-    _maybe_simulate_kill(name, runner, log)
+    if replay:
+        log(
+            f"  stage {name}: already passed, {len(jobs) - recomputed} of "
+            f"{len(jobs)} job(s) served from cache"
+        )
+    else:
+        record(
+            {
+                "event": "jobs_finished",
+                "job_hashes": [job.job_hash for job in jobs if job.cacheable],
+            }
+        )
+        machine.transition(name, StageState.PASSED)
+        record({"event": "stage_passed"})
+        log(
+            f"  stage {name}: passed "
+            f"({len(jobs)} job(s), {recomputed} computed, {len(jobs) - recomputed} served)"
+        )
+        _maybe_simulate_kill(name, runner, log)
     return StageReport(
         name=name,
         requires=machine.requires(name),

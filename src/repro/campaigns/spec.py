@@ -2,8 +2,9 @@
 
 A :class:`CampaignSpec` names a multi-stage evaluation: an ordered set of
 :class:`CampaignStage` values, each declaring its prerequisites, how to expand
-into a batch of runtime jobs (``plan``), and how to fold the batch's results
-into the stage's output (``reduce``).  The spec is pure declaration — no
+into a batch of runtime jobs (``plan``), and how to fold the planned jobs and
+their results into the stage's output (``reduce``) — the same plan/reduce
+pair an experiment is (:mod:`repro.experiments.protocol`).  The spec is pure declaration — no
 execution state — so one spec object serves every run, and a resumed run
 re-derives exactly the jobs the interrupted run scheduled (planners must be
 deterministic in ``(params, prerequisite outputs)``).
@@ -16,11 +17,14 @@ and do all their work in ``reduce``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.runtime.jobs import Job
 from repro.runtime.runner import ExperimentRunner
+
+if TYPE_CHECKING:
+    from repro.experiments.protocol import Param
 
 
 @dataclass
@@ -39,12 +43,6 @@ class CampaignContext:
     #: reducers can report honest elapsed times in their outputs.
     started: float = 0.0
 
-    def elapsed(self) -> float:
-        """Seconds since the campaign run started."""
-        import time
-
-        return time.perf_counter() - self.started
-
 
 @dataclass(frozen=True)
 class CampaignStage:
@@ -58,9 +56,10 @@ class CampaignStage:
         ``plan(context) -> Sequence[Job]`` — the stage's job batch.  Must be
         deterministic so an interrupted run re-plans identical job hashes.
     reduce:
-        Optional ``reduce(context, results) -> Any`` folding the batch's
-        decoded results (in job order) into the stage output; defaults to the
-        result list itself.
+        Optional ``reduce(context, jobs, results) -> Any`` folding the planned
+        jobs and their decoded results (in job order) into the stage output;
+        defaults to the result list itself.  It reads what it needs from the
+        results: it never plans or runs a job.
     requires:
         Names of stages that must have passed before this one starts.
     description:
@@ -69,7 +68,7 @@ class CampaignStage:
 
     name: str
     plan: Callable[[CampaignContext], Sequence[Job]]
-    reduce: Optional[Callable[[CampaignContext, List[Any]], Any]] = None
+    reduce: Optional[Callable[[CampaignContext, List[Job], List[Any]], Any]] = None
     requires: Tuple[str, ...] = ()
     description: str = ""
 
@@ -78,16 +77,18 @@ class CampaignStage:
 class CampaignSpec:
     """A named, declarative multi-stage experiment campaign.
 
-    ``param_names`` declares the parameters the campaign's planners read;
-    the orchestrator rejects a run whose params carry anything else, so a
-    flag that would be silently ignored fails loudly instead.  ``None``
-    (the default, for custom library campaigns) accepts any params.
+    ``params`` declares the parameters the campaign's stages read (name,
+    type, default: :class:`~repro.experiments.protocol.Param`); the
+    orchestrator rejects a run whose params carry anything else or a value
+    of the wrong type before anything is planned, so a flag that would be
+    silently ignored fails loudly instead.  ``None`` (the default, for
+    custom library campaigns) accepts any params.
     """
 
     name: str
     description: str
     stages: Tuple[CampaignStage, ...]
-    param_names: Optional[Tuple[str, ...]] = None
+    params: Optional[Tuple["Param", ...]] = None
 
     def __post_init__(self) -> None:
         if not self.stages:

@@ -98,11 +98,8 @@ from repro.campaigns import campaign_names
 from repro.core.config import MSROPMConfig
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.fig3_waveforms import render_figure3, run_figure3
-from repro.experiments.fig5_accuracy import render_figure5, run_figure5
-from repro.experiments.scenario_matrix import SCENARIO_BASELINES, run_scenario_matrix
-from repro.experiments.suite import run_suite
-from repro.experiments.table1_stats import run_table1
-from repro.experiments.table2_comparison import run_table2
+from repro.experiments.protocol import run_experiment
+from repro.experiments.scenario_matrix import SCENARIO_BASELINES
 from repro.graphs.generators import kings_graph
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.executors import EXECUTOR_NAMES
@@ -344,17 +341,14 @@ def _run_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment(run, args: argparse.Namespace, render=lambda result: result.render()) -> int:
+def _run_experiment(name: str, args: argparse.Namespace) -> int:
     """``table1``, ``table2``, ``fig5`` and ``suite``: one runner, one report."""
+    params = dict(
+        scale=args.scale, iterations=args.iterations, seed=args.seed, precision=args.precision
+    )
     with runner_from_args(args) as runner:
-        result = run(
-            scale=args.scale,
-            iterations=args.iterations,
-            seed=args.seed,
-            precision=args.precision,
-            runner=runner,
-        )
-    print(render(result))
+        result = run_experiment(name, params, runner)
+    print(result.render())
     return 0
 
 
@@ -421,15 +415,15 @@ def _workloads_show(args: argparse.Namespace) -> int:
 
 
 def _run_scenarios(args: argparse.Namespace) -> int:
+    params = dict(
+        families=_csv(args.family) if args.family else None,
+        iterations=args.iterations,
+        seed=args.seed,
+        precision=args.precision,
+        baselines=_csv(args.baselines),
+    )
     with runner_from_args(args) as runner:
-        result = run_scenario_matrix(
-            families=_csv(args.family) if args.family else None,
-            iterations=args.iterations,
-            seed=args.seed,
-            precision=args.precision,
-            runner=runner,
-            baselines=_csv(args.baselines),
-        )
+        result = run_experiment("scenarios", params, runner)
     print(result.render())
     stats = result.runner_stats
     # Worker count and wall time deliberately omitted: the scenarios output is
@@ -923,13 +917,13 @@ COMMANDS = [
         "--colors", ("--seed", dict(default=1)), "--precision", *RUNTIME,
     ], _run_solve),
     (("table1",), "reproduce Table 1 (per-problem statistics)", EXPERIMENT,
-     partial(_run_experiment, run_table1)),
+     partial(_run_experiment, "table1")),
     (("table2",), "reproduce Table 2 (prior-work comparison)", EXPERIMENT,
-     partial(_run_experiment, run_table2)),
+     partial(_run_experiment, "table2")),
     (("fig5",), "reproduce Figure 5 (accuracy and Hamming-distance data)", EXPERIMENT,
-     partial(_run_experiment, run_figure5, render=render_figure5)),
+     partial(_run_experiment, "fig5")),
     (("suite",), "run the whole evaluation (Tables 1-2, Fig. 5) in one sharded pass",
-     EXPERIMENT, partial(_run_experiment, run_suite)),
+     EXPERIMENT, partial(_run_experiment, "suite")),
     (("fig3",), "reproduce Figure 3 (stage waveforms)",
      [("--rows", dict(default=4)), ("--seed", dict(default=7))], _run_fig3),
     (("workloads",), "inspect the workload zoo", [], None),

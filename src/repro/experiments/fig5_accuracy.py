@@ -6,32 +6,34 @@ Figure 5 of the paper has three panels per problem size (49, 400, 1024 nodes):
 * (b) the 1st-stage max-cut accuracy of each iteration,
 * (c) a histogram of the pairwise Hamming distances between the 40 solutions.
 
-:func:`run_figure5` produces all three series per problem and
-:func:`render_figure5` prints them in the layout of the figure.  Solves are
-planned as runtime jobs (``plan_figure5_requests``) and executed through
-:meth:`repro.runtime.runner.ExperimentRunner.solve_many`, so a multi-worker
-runner shards the three problems across processes and a cache-backed runner
-skips sizes Table 1 already solved under the same seeds.
+``plan`` schedules one solve per problem size as runner jobs and ``reduce``
+derives all three series from each decoded solve (the protocol is
+:mod:`repro.experiments.protocol`); :func:`render_figure5` prints them in the
+layout of the figure.  A multi-worker runner shards the problems across
+processes, and a cache-backed runner skips sizes Table 1 already solved under
+the same seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 import numpy as np
 
 from repro.analysis.reporting import accuracy_series_text, text_histogram
-from repro.core.config import MSROPMConfig
-from repro.core.results import SolveResult
-from repro.experiments.problems import (
-    FIGURE5_SIZES,
-    PAPER_ITERATIONS,
-    default_config,
-    scaled_iterations,
-    scaled_spec,
+from repro.experiments.problems import FIGURE5_SIZES
+from repro.experiments.protocol import (
+    CONFIG,
+    ITERATIONS,
+    PRECISION,
+    SCALE,
+    SEED,
+    Experiment,
+    Param,
 )
-from repro.runtime.runner import ExperimentRunner, SolveRequest
+from repro.experiments.table1_stats import plan
+from repro.runtime.jobs import Job, merge_requests
 
 
 @dataclass
@@ -62,6 +64,10 @@ class Figure5Result:
 
     series: List[Figure5Series] = field(default_factory=list)
 
+    def render(self) -> str:
+        """All three panels as text (:func:`render_figure5`)."""
+        return render_figure5(self)
+
     def by_size(self, num_nodes: int) -> Figure5Series:
         """Return the series for a given (requested) problem size."""
         for series in self.series:
@@ -70,62 +76,20 @@ class Figure5Result:
         raise KeyError(f"no series for problem size {num_nodes}")
 
 
-def plan_figure5_requests(
-    sizes: Sequence[int] = FIGURE5_SIZES,
-    iterations: Optional[int] = None,
-    scale: float = 1.0,
-    config: Optional[MSROPMConfig] = None,
-    seed: int = 2025,
-    precision: Optional[str] = None,
-) -> List[SolveRequest]:
-    """The solve requests Figure 5 schedules: one per plotted problem size.
-
-    Seeds follow Table 1's ``seed + requested_size`` convention, so the
-    overlapping sizes (49/400/1024) hash to the *same* jobs as Table 1's and
-    resolve from cache when both experiments run in one suite.
-    """
-    config = config or default_config(seed)
-    if precision is not None:
-        config = config.with_updates(precision=precision)
-    iterations = iterations if iterations is not None else scaled_iterations(scale)
-    return [
-        SolveRequest(
-            spec=scaled_spec(requested_size, scale=scale),
-            config=config,
-            iterations=iterations,
-            seed=seed + requested_size,
-        )
-        for requested_size in sizes
-    ]
+PARAMS = (
+    Param("sizes", tuple, FIGURE5_SIZES, item=int),
+    ITERATIONS,
+    SCALE,
+    CONFIG,
+    SEED,
+    PRECISION,
+)
 
 
-def run_figure5(
-    sizes: Sequence[int] = FIGURE5_SIZES,
-    iterations: Optional[int] = None,
-    scale: float = 1.0,
-    config: Optional[MSROPMConfig] = None,
-    seed: int = 2025,
-    precision: Optional[str] = None,
-    runner: Optional[ExperimentRunner] = None,
-) -> Figure5Result:
-    """Run the Figure 5 experiment (optionally scaled down) and collect the data.
-
-    ``precision`` selects the tier of the per-problem solves (``None`` keeps
-    the config's); ``runner`` supplies the execution runtime (``None`` = serial,
-    uncached).
-    """
-    runner = runner or ExperimentRunner()
-    requests = plan_figure5_requests(
-        sizes=sizes,
-        iterations=iterations,
-        scale=scale,
-        config=config,
-        seed=seed,
-        precision=precision,
-    )
-    solves = runner.solve_many(requests)
+def reduce(params: Dict[str, Any], jobs: List[Job], results: List[Any]) -> Figure5Result:
+    """The three panels' series per size, from each decoded solve."""
     result = Figure5Result()
-    for requested_size, solve in zip(sizes, solves):
+    for requested_size, solve in zip(params["sizes"], merge_requests(jobs, results)):
         result.series.append(
             Figure5Series(
                 problem_name=f"{requested_size}-node",
@@ -165,3 +129,9 @@ def render_figure5(result: Figure5Result) -> str:
     for series in result.series:
         blocks.append(f"  {series.problem_name}: {series.stage_correlation:+.3f}")
     return "\n".join(blocks)
+
+
+#: Figure 5 plans exactly as Table 1 does (one solve per size, seeded
+#: ``seed + size``), so the sizes both show hash to the same jobs and resolve
+#: from the memo or cache when both experiments run.
+EXPERIMENT = Experiment("fig5", PARAMS, plan, reduce)

@@ -90,7 +90,7 @@ def scaled_side(num_nodes: int, scale: float = 1.0) -> int:
     the topology and the relative size ordering of the problems.  Computable
     without building the graph, which is what the job planners use.
     """
-    if scale <= 0 or scale > 1.0:
+    if not 0 < scale <= 1.0:  # also rejects NaN
         raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
     side = PAPER_PROBLEM_SIDES.get(num_nodes)
     if side is None:
@@ -170,6 +170,6 @@ def default_config(
 
 def scaled_iterations(scale: float = 1.0) -> int:
     """Iteration count scaled the same way as the problems (minimum 5)."""
-    if scale <= 0 or scale > 1.0:
+    if not 0 < scale <= 1.0:  # also rejects NaN
         raise ConfigurationError(f"scale must be in (0, 1], got {scale}")
     return max(5, int(round(PAPER_ITERATIONS * scale)))

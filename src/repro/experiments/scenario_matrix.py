@@ -3,9 +3,9 @@
 The paper's evaluation is King's-graphs-only; the scenario matrix is the
 breadth experiment: every instance of the workload registry
 (:mod:`repro.workloads`) is solved by the MSROPM **through the experiment
-runtime** — all instances submitted as one ``runner.solve_many`` batch, so
-the process pool shards the whole zoo and a warm cache skips it — and
-compared against the software/hardware baselines:
+runtime** — ``plan`` schedules every instance's solve as runner jobs, so the
+process pool shards the whole zoo and a warm cache skips it — and compared
+against the software/hardware baselines:
 
 * **SA** — simulated annealing (coloring or max-cut, by workload kind),
 * **Tabu** — TabuCol (coloring workloads),
@@ -14,11 +14,12 @@ compared against the software/hardware baselines:
 * **single-stage** — the single-stage N-SHIL ROPM (prior work [14]).
 
 Baselines are first-class scheduler jobs
-(:class:`repro.runtime.baselines.BaselineJob`): the matrix plans one job per
-(baseline, instance), submits the whole batch through the runner, and the
-warm process pool shards MSROPM solves and baseline runs alike.  Seeds derive
-stably from the scenario seed and results are collected in submission order,
-so the full matrix is bit-identical between ``--workers 1`` and
+(:class:`repro.runtime.baselines.BaselineJob`): ``plan`` adds one job per
+(baseline, instance) after the solves, and the warm process pool shards
+MSROPM solves and baseline runs alike; ``reduce`` assembles the matrix from
+their results (the protocol is :mod:`repro.experiments.protocol`).  Seeds
+derive stably from the scenario seed and results are collected in submission
+order, so the full matrix is bit-identical between ``--workers 1`` and
 ``--workers N`` and cache-hittable across invocations.
 
 Accuracies are *raw ratios*: coloring workloads report the fraction of
@@ -30,9 +31,9 @@ only clipped — with a warning — at presentation time
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from repro.analysis.reporting import (
 from repro.core.config import MSROPMConfig
 from repro.core.results import SolveResult
 from repro.experiments.problems import default_config
+from repro.experiments.protocol import CONFIG, PRECISION, SEED, Experiment, Param
 from repro.graphs.graph import Graph
 from repro.runtime.baselines import (
     BASELINE_NAMES,
@@ -53,6 +55,7 @@ from repro.runtime.baselines import (
     coloring_cut_ratio,
     cut_ratio,
 )
+from repro.runtime.jobs import Job, merge_requests
 from repro.runtime.runner import ExperimentRunner, SolveRequest
 from repro.workloads.registry import (
     ReferenceSolution,
@@ -73,7 +76,8 @@ class ScenarioRow:
 
     ``baselines`` maps baseline name to its best raw accuracy ratio, or
     ``None`` when the baseline does not apply to the workload kind (e.g.
-    TabuCol on a max-cut scenario).
+    TabuCol on a max-cut scenario).  ``instance`` and ``graph`` (the solve's
+    decoded graph) back :attr:`reference`.
     """
 
     family: str
@@ -85,7 +89,18 @@ class ScenarioRow:
     msropm_accuracies: Tuple[float, ...]
     msropm_exact: int
     baselines: Dict[str, Optional[float]]
-    reference: ReferenceSolution
+    instance: WorkloadInstance = field(repr=False, compare=False)
+    graph: Graph = field(repr=False, compare=False)
+
+    @cached_property
+    def reference(self) -> ReferenceSolution:
+        """The instance's reference solution, computed on first access.
+
+        The matrix itself does not show it, and for coloring workloads it
+        can take an exact backtracking search, so a report that is only
+        rendered never pays for one.
+        """
+        return self.instance.reference(self.graph)
 
     @property
     def msropm_best(self) -> float:
@@ -281,81 +296,84 @@ def _maxcut_accuracies(
     )
 
 
-def run_scenario_matrix(
-    families: Optional[Sequence[str]] = None,
-    iterations: int = 5,
-    seed: int = 2025,
-    config: Optional[MSROPMConfig] = None,
-    precision: Optional[str] = None,
-    runner: Optional[ExperimentRunner] = None,
-    baselines: Sequence[str] = SCENARIO_BASELINES,
-) -> ScenarioMatrixResult:
-    """Run the MSROPM and the baselines across the zoo's workload instances.
+PARAMS = (
+    Param("families", tuple, item=str),  # None: the whole zoo
+    Param("iterations", int, 5),
+    SEED,
+    CONFIG,
+    PRECISION,
+    Param("baselines", tuple, SCENARIO_BASELINES, item=str),
+)
 
-    ``families`` selects registry families (``None`` = all); ``precision``
-    selects the MSROPM precision tier (the baselines are tier-agnostic and
-    deliberately ignore it, so their cached runs survive tier switches);
-    ``runner`` supplies the execution runtime for MSROPM solves *and*
-    baseline jobs (``None`` = serial, uncached).  Per seed the matrix is
-    bit-identical regardless of the runner's worker count, and a cache-backed
-    runner resolves warm reruns without a single solve or baseline run.
-    """
-    for name in baselines:
+
+def _instances(params: Dict[str, Any]) -> List[WorkloadInstance]:
+    """The zoo instances of ``params``, once its baseline names are checked."""
+    for name in params["baselines"]:
         if name not in SCENARIO_BASELINES:
             raise ConfigurationError(
                 f"unknown baseline {name!r}; available: {', '.join(SCENARIO_BASELINES)}"
             )
-    runner = runner or ExperimentRunner()
-    start = time.perf_counter()
-    instances = expand_workloads(families, base_seed=seed)
+    return expand_workloads(params["families"], base_seed=params["seed"])
+
+
+def plan_solves(params: Dict[str, Any], runner: ExperimentRunner) -> List[Job]:
+    """One MSROPM solve per zoo instance, chunked by ``runner``."""
     requests = plan_scenario_requests(
-        instances,
-        iterations=iterations,
-        seed=seed,
-        config=config,
-        precision=precision,
+        _instances(params),
+        iterations=params["iterations"],
+        seed=params["seed"],
+        config=params["config"],
+        precision=params["precision"],
     )
-    solves: List[SolveResult] = runner.solve_many(requests)
+    return [job for jobs in runner.plan_jobs(requests) for job in jobs]
 
-    # Reference solutions depend only on the content-addressed spec, so they
-    # ride in the runner's result cache: warm matrix reruns skip the exact
-    # backtracking searches along with the solves.  They are computed before
-    # the baseline batch because reference cuts are part of each baseline
-    # job's content hash.
-    graphs = [instance.build() for instance in instances]
-    references = [
-        cached_reference(instance, graph, cache=runner.cache)
-        for instance, graph in zip(instances, graphs)
-    ]
 
-    # The baseline column as one sharded batch through the same runner.
-    baseline_jobs = plan_baseline_jobs(
+def plan_baselines(params: Dict[str, Any], runner: ExperimentRunner) -> List[Job]:
+    """One baseline job per (instance, baseline), instance-major.
+
+    Reference solutions ride in the runner's cache (they depend only on the
+    content-addressed spec), so a warm plan skips the exact backtracking
+    searches; they are needed here because reference cuts are part of each
+    baseline job's hash.  No ``precision`` on purpose: the baselines are
+    tier-agnostic, so their cached runs survive a tier switch of the solves.
+    """
+    instances = _instances(params)
+    references = [cached_reference(instance, cache=runner.cache) for instance in instances]
+    return plan_baseline_jobs(
         instances,
         references,
-        iterations=iterations,
-        seed=seed,
-        config=config,
-        baselines=baselines,
+        iterations=params["iterations"],
+        seed=params["seed"],
+        config=params["config"],
+        baselines=params["baselines"],
     )
-    payloads = runner.run_jobs(baseline_jobs)
-    per_instance_baselines: List[Dict[str, Optional[float]]] = []
-    cursor = 0
-    for _ in instances:
-        values = {
-            name: payloads[cursor + offset]["accuracy"]
-            for offset, name in enumerate(baselines)
-        }
-        cursor += len(baselines)
-        per_instance_baselines.append(values)
 
+
+def plan(params: Dict[str, Any], runner: ExperimentRunner) -> List[Job]:
+    """The matrix's solves, then its baseline jobs."""
+    return plan_solves(params, runner) + plan_baselines(params, runner)
+
+
+def reduce(params: Dict[str, Any], jobs: List[Job], results: List[Any]) -> ScenarioMatrixResult:
+    """The matrix from the decoded solves and the baseline payloads.
+
+    Each row's sizes, max-cut re-scoring and (lazy) reference use the
+    solve's decoded graph, so no instance graph is built.
+    """
+    instances = _instances(params)
+    baselines = params["baselines"]
+    merged = merge_requests(jobs, results)
+    solves, payloads = merged[: len(instances)], merged[len(instances):]
     rows: List[ScenarioRow] = []
-    for instance, graph, reference, solve, baseline_values in zip(
-        instances, graphs, references, solves, per_instance_baselines
-    ):
+    for index, (instance, solve) in enumerate(zip(instances, solves)):
+        graph = solve.graph
         if instance.kind == "maxcut":
-            accuracies = _maxcut_accuracies(instance, graph, solve, reference.reference_cut)
+            # Max-cut references are closed forms or weight sums: cheap.
+            reference_cut = instance.reference(graph).reference_cut
+            accuracies = _maxcut_accuracies(instance, graph, solve, reference_cut)
         else:
             accuracies = tuple(float(value) for value in solve.accuracies)
+        row_payloads = payloads[index * len(baselines):(index + 1) * len(baselines)]
         rows.append(
             ScenarioRow(
                 family=instance.family,
@@ -366,15 +384,16 @@ def run_scenario_matrix(
                 num_colors=instance.num_colors,
                 msropm_accuracies=accuracies,
                 msropm_exact=solve.num_exact_solutions,
-                baselines=baseline_values,
-                reference=reference,
+                baselines={
+                    name: payload["accuracy"] for name, payload in zip(baselines, row_payloads)
+                },
+                instance=instance,
+                graph=graph,
             )
         )
     return ScenarioMatrixResult(
-        rows=rows,
-        baseline_names=tuple(baselines),
-        iterations=iterations,
-        runner_stats=runner.stats(),
-        workers=runner.workers,
-        wall_time_s=time.perf_counter() - start,
+        rows=rows, baseline_names=tuple(baselines), iterations=params["iterations"]
     )
+
+
+EXPERIMENT = Experiment("scenarios", PARAMS, plan, reduce)

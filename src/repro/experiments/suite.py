@@ -1,54 +1,52 @@
 """The full evaluation suite: every table and figure in one sharded pass.
 
 ``msropm suite`` reproduces the paper's whole evaluation grid — Table 1,
-Table 2 and Figure 5 — through a single :class:`ExperimentRunner`.  The suite
-first collects every experiment's planned jobs (the Table 1 and Fig. 5 solve
-requests, and Table 2's solve and baseline jobs from ``plan_table2_jobs``)
-and submits them as **one batch**, so the process pool shards the union of
-all jobs freely; duplicate jobs across experiments (Fig. 5 re-plots the sizes
-Table 1 solves, under the same seeds) are deduplicated by content hash and
-solved once.  The individual experiments then run against the warmed runner
-and resolve entirely from its memo/cache.
+Table 2 and Figure 5 — as the composition of their plan/reduce pairs
+(:mod:`repro.experiments.protocol`).  ``plan`` concatenates the three plans,
+so :func:`~repro.experiments.protocol.run_experiment` submits every job as
+**one batch**: the process pool shards the union freely, and the jobs
+Figure 5 shares with Table 1 (the same sizes under the same seeds) are
+deduplicated by content hash and solved once.  ``reduce`` hands each
+experiment's slice of the jobs and results to that experiment's reduce.
 
 With a persistent cache directory, a second ``msropm suite`` invocation runs
 no solve and no baseline and renders straight from disk.
 
 The suite also exists as the built-in ``suite`` *campaign*
-(:mod:`repro.campaigns.builtin`): the same planners as separate ledgered
-stages with the Table 1 / Fig. 5 overlap as an explicit dependency, which is
-the resumable form (``msropm campaign run suite``).  Both forms share job
-hashes, so either one warms the other's cache.
+(:mod:`repro.campaigns.builtin`): the same three pairs as separate ledgered
+stages, which is the resumable form (``msropm campaign run suite``).  Both
+forms share job hashes, so either one warms the other's cache.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List
 
-from repro.core.config import MSROPMConfig
-from repro.experiments.fig5_accuracy import (
-    Figure5Result,
-    plan_figure5_requests,
-    render_figure5,
-    run_figure5,
-)
-from repro.experiments.table1_stats import Table1Result, plan_table1_requests, run_table1
-from repro.experiments.table2_comparison import Table2Result, plan_table2_jobs, run_table2
-from repro.runtime.jobs import Job
+from repro.experiments import fig5_accuracy, table1_stats, table2_comparison
+from repro.experiments.fig5_accuracy import Figure5Result, render_figure5
+from repro.experiments.protocol import CONFIG, ITERATIONS, PRECISION, SCALE, SEED, Experiment
+from repro.experiments.table1_stats import Table1Result
+from repro.experiments.table2_comparison import Table2Result
+from repro.runtime.jobs import Job, request_starts
 from repro.runtime.runner import ExperimentRunner
+
+PARAMS = (SCALE, ITERATIONS, SEED, PRECISION, CONFIG)
+
+#: The suite's parts, in plan order.
+PARTS = (table1_stats.EXPERIMENT, table2_comparison.EXPERIMENT, fig5_accuracy.EXPERIMENT)
 
 
 @dataclass
 class SuiteResult:
-    """Everything one suite invocation produced."""
+    """Everything one suite run produced, plus the runner's accounting."""
 
     table1: Table1Result
     table2: Table2Result
     figure5: Figure5Result
-    wall_time_s: float
-    runner_stats: Dict[str, int]
-    workers: int
+    wall_time_s: float = 0.0
+    runner_stats: Dict[str, int] = field(default_factory=dict)
+    workers: int = 1
 
     def render(self) -> str:
         """Render the full evaluation plus a runtime summary."""
@@ -74,77 +72,27 @@ class SuiteResult:
         )
 
 
-def plan_suite_jobs(
-    runner: ExperimentRunner,
-    scale: float = 1.0,
-    iterations: Optional[int] = None,
-    seed: int = 2025,
-    config: Optional[MSROPMConfig] = None,
-    precision: Optional[str] = None,
-) -> List[Job]:
-    """The union of all jobs the suite's experiments schedule.
+def plan(params: Dict[str, Any], runner: ExperimentRunner) -> List[Job]:
+    """Table 1's, Table 2's and Figure 5's jobs, concatenated."""
+    return [job for part in PARTS for job in part.plan(part.validate(params), runner)]
 
-    Reuses each experiment's own planner (solve jobs chunked by ``runner``),
-    so the job hashes here are exactly the hashes the standalone experiments
-    compute — the warm pass and the per-experiment runs address the same
-    cache entries.
+
+def reduce(params: Dict[str, Any], jobs: List[Job], results: List[Any]) -> SuiteResult:
+    """Reduce each part over its own slice of the suite's jobs.
+
+    Table 1's slice is its first ``len(sizes)`` requests and Figure 5's its
+    last ``len(sizes)``; Table 2's is what lies between (a request is a solve
+    with its replica chunks, or one baseline job: ``request_starts``).
     """
-    shared = dict(
-        iterations=iterations,
-        scale=scale,
-        config=config,
-        seed=seed,
-        precision=precision,
-    )
-
-    def solve_jobs(requests) -> List[Job]:
-        return [job for chunk in runner.plan_jobs(requests) for job in chunk]
-
-    return [
-        *solve_jobs(plan_table1_requests(**shared)),
-        *plan_table2_jobs(runner, **shared),
-        *solve_jobs(plan_figure5_requests(**shared)),
-    ]
-
-
-def run_suite(
-    scale: float = 1.0,
-    iterations: Optional[int] = None,
-    seed: int = 2025,
-    config: Optional[MSROPMConfig] = None,
-    precision: Optional[str] = None,
-    runner: Optional[ExperimentRunner] = None,
-) -> SuiteResult:
-    """Run the whole evaluation (Tables 1-2, Figure 5) through one runner.
-
-    ``runner`` supplies the worker pool and cache (``None`` = serial,
-    uncached).  Per seed, the results are bit-identical regardless of the
-    runner's worker count (the throughput tier is equally deterministic per
-    seed, though not bit-identical to the exact tier).
-    """
-    runner = runner or ExperimentRunner()
-    start = time.perf_counter()
-    shared = dict(
-        iterations=iterations,
-        scale=scale,
-        config=config,
-        seed=seed,
-        precision=precision,
-    )
-
-    # One sharded pass over the union of all jobs (deduplicated by hash).
-    runner.run_jobs(plan_suite_jobs(runner, **shared))
-
-    # The experiments now resolve from the warmed runner.
-    table1 = run_table1(runner=runner, **shared)
-    table2 = run_table2(runner=runner, **shared)
-    figure5 = run_figure5(runner=runner, **shared)
-    wall = time.perf_counter() - start
+    table1, table2, figure5 = (part.validate(params) for part in PARTS)
+    starts = request_starts(jobs)
+    first = starts[len(table1["sizes"])]
+    last = starts[len(starts) - 1 - len(figure5["sizes"])]
     return SuiteResult(
-        table1=table1,
-        table2=table2,
-        figure5=figure5,
-        wall_time_s=wall,
-        runner_stats=runner.stats(),
-        workers=runner.workers,
+        table1=table1_stats.reduce(table1, jobs[:first], results[:first]),
+        table2=table2_comparison.reduce(table2, jobs[first:last], results[first:last]),
+        figure5=fig5_accuracy.reduce(figure5, jobs[last:], results[last:]),
     )
+
+
+EXPERIMENT = Experiment("suite", PARAMS, plan, reduce)

@@ -2,31 +2,35 @@
 
 Table 1 of the paper reports, for the 49/400/1024/2116-node problems:
 the search-space size (``4^n``), the iteration count (40), the average power
-and the top accuracy.  This module plans one solve job per problem, routes the
-batch through the experiment runtime (``plan_table1_requests`` ->
-:meth:`repro.runtime.runner.ExperimentRunner.solve_many` — sharded across
-workers, cached on disk), evaluates the bottom-up power model on the mapped
-fabric, and renders the same rows.
+and the top accuracy.  ``plan`` schedules one solve per problem as runner
+jobs (sharded across workers, cached on disk); ``reduce`` reads each board's
+size from its decoded solve, evaluates the bottom-up power model on it, and
+renders the same rows (the protocol is :mod:`repro.experiments.protocol`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.reporting import format_power_mw, format_search_space, format_table
 from repro.circuit.power import PAPER_POWER_MW, PowerModel
-from repro.core.config import MSROPMConfig
 from repro.experiments.problems import (
-    PAPER_ITERATIONS,
     TABLE1_SIZES,
     default_config,
     scaled_iterations,
-    scaled_problem,
     scaled_spec,
 )
+from repro.experiments.protocol import (
+    CONFIG,
+    ITERATIONS,
+    PRECISION,
+    SCALE,
+    SEED,
+    Experiment,
+    Param,
+)
+from repro.runtime.jobs import Job, merge_requests
 from repro.runtime.runner import ExperimentRunner, SolveRequest
 
 
@@ -94,75 +98,56 @@ class Table1Result:
         return comparison
 
 
-def plan_table1_requests(
-    sizes: Sequence[int] = TABLE1_SIZES,
-    iterations: Optional[int] = None,
-    scale: float = 1.0,
-    config: Optional[MSROPMConfig] = None,
-    seed: int = 2025,
-    precision: Optional[str] = None,
-) -> List[SolveRequest]:
-    """The solve requests Table 1 schedules: one per problem size.
+PARAMS = (
+    Param("sizes", tuple, TABLE1_SIZES, item=int),
+    ITERATIONS,
+    SCALE,
+    CONFIG,
+    Param("power_model", PowerModel),
+    SEED,
+    PRECISION,
+)
 
-    Shared with :func:`run_table1` and the suite planner so a suite-level
-    warm pass produces byte-identical job hashes to a standalone Table 1 run.
+
+def plan(params: Dict[str, Any], runner: ExperimentRunner) -> List[Job]:
+    """One solve per problem size, seeded ``seed + size``, chunked by ``runner``.
+
+    Figure 5 plans its sizes with this same function, so the sizes both
+    experiments show hash to the same jobs and a suite solves them once.
     """
-    config = config or default_config(seed)
-    if precision is not None:
-        config = config.with_updates(precision=precision)
-    iterations = iterations if iterations is not None else scaled_iterations(scale)
-    return [
+    seed, scale = params["seed"], params["scale"]
+    config = params["config"] or default_config(seed)
+    if params["precision"] is not None:
+        config = config.with_updates(precision=params["precision"])
+    iterations = params["iterations"]
+    if iterations is None:
+        iterations = scaled_iterations(scale)
+    requests = [
         SolveRequest(
-            spec=scaled_spec(requested, scale=scale),
+            spec=scaled_spec(size, scale=scale),
             config=config,
             iterations=iterations,
-            seed=seed + requested,
+            seed=seed + size,
         )
-        for requested in sizes
+        for size in params["sizes"]
     ]
+    return [job for jobs in runner.plan_jobs(requests) for job in jobs]
 
 
-def run_table1(
-    sizes: Sequence[int] = TABLE1_SIZES,
-    iterations: Optional[int] = None,
-    scale: float = 1.0,
-    config: Optional[MSROPMConfig] = None,
-    power_model: Optional[PowerModel] = None,
-    seed: int = 2025,
-    precision: Optional[str] = None,
-    runner: Optional[ExperimentRunner] = None,
-) -> Table1Result:
-    """Run the Table 1 experiment (optionally scaled) and collect the rows.
-
-    ``precision`` selects the tier of the 40-iteration solves (``None``
-    keeps the config's, exact by default).
-    ``runner`` supplies the execution runtime (worker pool + result cache);
-    ``None`` uses a serial, uncached runner, which reproduces the historical
-    behaviour exactly.
-    """
-    runner = runner or ExperimentRunner()
-    power_model = power_model or PowerModel()
-    requests = plan_table1_requests(
-        sizes=sizes,
-        iterations=iterations,
-        scale=scale,
-        config=config,
-        seed=seed,
-        precision=precision,
-    )
-    solves = runner.solve_many(requests)
+def reduce(params: Dict[str, Any], jobs: List[Job], results: List[Any]) -> Table1Result:
+    """One row per size; sizes and power come from each decoded solve's graph."""
+    power_model = params["power_model"] or PowerModel()
     result = Table1Result()
-    for requested, request, solve in zip(sizes, requests, solves):
+    for requested, solve in zip(params["sizes"], merge_requests(jobs, results)):
         graph = solve.graph
-        power = power_model.total_power(graph.num_nodes, graph.num_edges)
         result.rows.append(
             Table1Row(
                 problem_name=f"{requested}-node",
                 requested_nodes=requested,
                 simulated_nodes=graph.num_nodes,
                 num_edges=graph.num_edges,
-                iterations=request.iterations,
-                average_power_w=power,
+                iterations=solve.num_iterations,
+                average_power_w=power_model.total_power(graph.num_nodes, graph.num_edges),
                 top_accuracy=float(solve.best_accuracy),
                 mean_accuracy=float(solve.accuracies.mean()),
                 num_exact=solve.num_exact_solutions,
@@ -171,17 +156,21 @@ def run_table1(
     return result
 
 
+EXPERIMENT = Experiment("table1", PARAMS, plan, reduce)
+
+
 def power_scaling_series(
     sizes: Sequence[int] = TABLE1_SIZES, power_model: Optional[PowerModel] = None
 ) -> Dict[int, float]:
     """Modeled average power (W) versus problem size — the Table 1 power column.
 
     Power is a pure circuit-model quantity (it does not require solving), so
-    the full-size fabrics are always evaluated exactly.
+    the full-size fabrics are always evaluated exactly, from each board's
+    closed-form node and edge counts.
     """
     power_model = power_model or PowerModel()
     series: Dict[int, float] = {}
     for requested in sizes:
-        problem = scaled_problem(requested, scale=1.0)
-        series[requested] = power_model.total_power(problem.graph.num_nodes, problem.graph.num_edges)
+        board = scaled_spec(requested, scale=1.0)
+        series[requested] = power_model.total_power(board.num_nodes, board.num_edges)
     return series

@@ -14,28 +14,38 @@ The optical/hybrid machines ([11], [13]) and the RTWO machine ([9]) cannot be
 re-implemented meaningfully here, so their rows are carried over from the
 paper and marked "cited".
 
-Every measured row runs as runner jobs (``plan_table2_jobs`` ->
-:meth:`repro.runtime.runner.ExperimentRunner.run_jobs`): the headline MSROPM
-solve as solve jobs and the single-stage ROPM and ROIM rows as
+Every measured row is a runner job of ``plan``: the headline MSROPM solve as
+solve jobs and the single-stage ROPM and ROIM rows as
 :class:`repro.runtime.baselines.BaselineJob` values on King's-board workload
-instances.  All three shard and cache with the rest of the evaluation, so a
-warm run reads the whole table from the cache and simulates nothing.
+instances; ``reduce`` assembles the table from their results (the protocol is
+:mod:`repro.experiments.protocol`).  All three shard and cache with the rest
+of the evaluation, so a warm run reads the whole table from the cache and
+simulates nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.analysis.comparison import ComparisonRow, ComparisonTable, accuracy_range_text
 from repro.circuit.power import PowerModel
-from repro.core.config import MSROPMConfig
 from repro.experiments.problems import default_config, scaled_iterations, scaled_spec
+from repro.experiments.protocol import (
+    CONFIG,
+    ITERATIONS,
+    PRECISION,
+    SCALE,
+    SEED,
+    Experiment,
+    Param,
+    run_experiment,
+)
 from repro.ising.maxcut import kings_graph_reference_cut
 from repro.runtime.baselines import BaselineJob
-from repro.runtime.jobs import Job, KingsGraphSpec, merge_job_results
+from repro.runtime.jobs import Job, KingsGraphSpec, merge_requests
 from repro.runtime.runner import ExperimentRunner, SolveRequest
 from repro.workloads.registry import WorkloadInstance
 
@@ -69,35 +79,43 @@ def _kings_instance(
     )
 
 
-def plan_table2_jobs(
-    runner: ExperimentRunner,
-    msropm_nodes: int = 2116,
-    comparison_nodes: int = 400,
-    iterations: Optional[int] = None,
-    scale: float = 1.0,
-    config: Optional[MSROPMConfig] = None,
-    seed: int = 2025,
-    precision: Optional[str] = None,
-) -> List[Job]:
+PARAMS = (
+    Param("msropm_nodes", int, 2116),
+    Param("comparison_nodes", int, 400),
+    ITERATIONS,
+    SCALE,
+    CONFIG,
+    Param("power_model", PowerModel),
+    SEED,
+    PRECISION,
+)
+
+
+def plan(params: Dict[str, Any], runner: ExperimentRunner) -> List[Job]:
     """Every job Table 2 measures, in row order.
 
-    The headline MSROPM row's solve jobs (chunked by ``runner``, see
-    :meth:`ExperimentRunner.plan_jobs`), then two :class:`BaselineJob` values
-    on the comparison board: the single-stage 3-SHIL ROPM (3-coloring, seed
-    ``seed + 1``) and the ROIM (max-cut against the King's striping cut, seed
-    ``seed + 2``).  ``precision`` applies to the MSROPM row only: the
+    The headline MSROPM row's solve jobs on the ``msropm_nodes`` board (the
+    paper uses its largest, 2116 nodes; chunked by ``runner``), then two
+    :class:`BaselineJob` values on the ``comparison_nodes`` board, kept
+    smaller since those rows exist for accuracy comparison, not for scale
+    records: the single-stage 3-SHIL ROPM (3-coloring, seed ``seed + 1``) and
+    the ROIM (max-cut against the King's striping cut, seed ``seed + 2``).  ``precision`` applies to the MSROPM row only: the
     baselines are tier-agnostic, so one cached run serves both tiers.
     """
-    iterations = iterations if iterations is not None else scaled_iterations(scale)
-    base = config or default_config(seed)
+    seed, scale = params["seed"], params["scale"]
+    iterations = params["iterations"]
+    if iterations is None:
+        iterations = scaled_iterations(scale)
+    base = params["config"] or default_config(seed)
+    precision = params["precision"]
     headline = SolveRequest(
-        spec=scaled_spec(msropm_nodes, scale=scale),
+        spec=scaled_spec(params["msropm_nodes"], scale=scale),
         config=base if precision is None else base.with_updates(precision=precision),
         iterations=iterations,
         seed=seed,
     )
     jobs: List[Job] = list(runner.plan_jobs([headline])[0])
-    board = scaled_spec(comparison_nodes, scale=scale)
+    board = scaled_spec(params["comparison_nodes"], scale=scale)
     jobs.append(
         BaselineJob(
             instance=_kings_instance("kings", "coloring", 3, board),
@@ -124,41 +142,16 @@ def plan_table2_jobs(
     return jobs
 
 
-def run_table2(
-    msropm_nodes: int = 2116,
-    comparison_nodes: int = 400,
-    iterations: Optional[int] = None,
-    scale: float = 1.0,
-    config: Optional[MSROPMConfig] = None,
-    power_model: Optional[PowerModel] = None,
-    seed: int = 2025,
-    precision: Optional[str] = None,
-    runner: Optional[ExperimentRunner] = None,
-) -> Table2Result:
-    """Measure the re-implemented rows of Table 2 and assemble the comparison.
+def reduce(params: Dict[str, Any], jobs: List[Job], results: List[Any]) -> Table2Result:
+    """Assemble the comparison from the MSROPM solve and both baseline payloads.
 
-    ``msropm_nodes`` selects the problem size for the headline MSROPM row (the
-    paper uses its largest, 2116 nodes); ``comparison_nodes`` sizes the
-    single-stage ROPM and ROIM rows (kept smaller since they exist for
-    accuracy comparison, not for scale records).  ``runner`` runs every
-    measured row, the MSROPM solve and both baselines (``None`` = serial,
-    uncached); ``precision`` applies to the MSROPM row only.
+    The MSROPM row's size comes from its decoded graph; the comparison
+    board's from its :class:`KingsGraphSpec` in closed form, so no board is
+    built.
     """
-    runner = runner or ExperimentRunner()
-    base = config or default_config(seed)
-    power_model = power_model or PowerModel()
-    jobs = plan_table2_jobs(
-        runner,
-        msropm_nodes=msropm_nodes,
-        comparison_nodes=comparison_nodes,
-        iterations=iterations,
-        scale=scale,
-        config=config,
-        seed=seed,
-        precision=precision,
-    )
-    *solve_results, ropm_payload, roim_payload = runner.run_jobs(jobs)
-    msropm_result = merge_job_results(jobs[:-2], solve_results)
+    base = params["config"] or default_config(params["seed"])
+    power_model = params["power_model"] or PowerModel()
+    msropm_result, ropm_payload, roim_payload = merge_requests(jobs, results)
     ropm_accuracies = np.array(ropm_payload["accuracies"], dtype=float)
     roim_accuracies = np.array(roim_payload["accuracies"], dtype=float)
 
@@ -184,7 +177,7 @@ def run_table2(
 
     # Both baseline rows run on the comparison board: one init + anneal +
     # lock triple per run (SingleStageROPM.run_time, ROIMMaxCut.run_time).
-    board = jobs[-1].instance.build()
+    board = jobs[-1].instance.spec
     board_power = power_model.total_power(board.num_nodes, board.num_edges)
     single_stage_time = base.timing.total_for_stages(1)
     table.add_row(
@@ -226,3 +219,11 @@ def run_table2(
         ropm_accuracies=ropm_accuracies,
         roim_accuracies=roim_accuracies,
     )
+
+
+EXPERIMENT = Experiment("table2", PARAMS, plan, reduce)
+
+
+def run_table2(runner: Optional[ExperimentRunner] = None, **params: Any) -> Table2Result:
+    """Table 2 in one call: ``run_experiment("table2", params, runner)``."""
+    return run_experiment("table2", params, runner)

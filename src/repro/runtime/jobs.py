@@ -37,7 +37,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union, cast
 
 from repro.exceptions import ConfigurationError
 from repro.core.config import MSROPMConfig
@@ -118,6 +118,18 @@ class KingsGraphSpec(GraphSpec):
     @property
     def label(self) -> str:
         return f"kings-{self.rows}x{self.cols}"
+
+    @property
+    def num_nodes(self) -> int:
+        """Node count of the board, without building it."""
+        return self.rows * self.cols
+
+    @property
+    def num_edges(self) -> int:
+        """Edge count of the board, without building it: the horizontal,
+        vertical and both diagonal neighbour pairs."""
+        rows, cols = self.rows, self.cols
+        return rows * (cols - 1) + (rows - 1) * cols + 2 * (rows - 1) * (cols - 1)
 
 
 @dataclass(frozen=True)
@@ -627,3 +639,37 @@ def merge_job_results(jobs: List[SolveJob], results: List[SolveResult]) -> Solve
         iterations=iterations,
         metadata=dict(first.metadata),
     )
+
+
+def request_starts(jobs: Sequence[Job]) -> List[int]:
+    """Where each planned request begins in ``jobs``, then ``len(jobs)``.
+
+    A request is a solve planned from replica 0 together with the replica
+    chunks that follow it (a :class:`SolveJob` starting past replica 0), or
+    any other single job.
+    """
+    starts = [
+        index
+        for index, job in enumerate(jobs)
+        if index == 0 or not (isinstance(job, SolveJob) and job.replica_start > 0)
+    ]
+    return starts + [len(jobs)]
+
+
+def merge_requests(jobs: Sequence[Job], results: Sequence[Any]) -> List[Any]:
+    """One result per planned request (:func:`request_starts`), in plan order.
+
+    A solve's chunks merge into one :class:`SolveResult`
+    (:func:`merge_job_results`); any other job's result passes through.
+    """
+    if len(jobs) != len(results):
+        raise ConfigurationError("merge needs one result per job")
+    starts = request_starts(jobs)
+    merged: List[Any] = []
+    for start, stop in zip(starts, starts[1:]):
+        if isinstance(jobs[start], SolveJob):
+            chunks = cast(List[SolveJob], list(jobs[start:stop]))
+            merged.append(merge_job_results(chunks, list(results[start:stop])))
+        else:
+            merged.append(results[start])
+    return merged

@@ -57,7 +57,7 @@ from repro.graphs.graph import Graph
 from repro.obs.metrics import get_metrics
 from repro.runtime.cache import ResultCache
 from repro.runtime.executors import ProgressCallback, make_backend
-from repro.runtime.jobs import GraphSpec, Job, SolveJob, as_graph_spec, merge_job_results
+from repro.runtime.jobs import GraphSpec, Job, SolveJob, as_graph_spec, merge_requests
 from repro.runtime.scheduler import JobScheduler
 
 #: Ticket lifecycle states.  ``pending`` — admitted, not yet handed to the
@@ -585,15 +585,5 @@ class ExperimentRunner:
         what lets the pool interleave problems, sweep points and replica
         chunks freely.
         """
-        per_request_jobs = self.plan_jobs(requests)
-        flat: List[SolveJob] = [job for jobs in per_request_jobs for job in jobs]
-        resolved = self.run_jobs(flat)
-
-        # Merge chunks back per request, in submission order.
-        results: List[SolveResult] = []
-        cursor = 0
-        for jobs in per_request_jobs:
-            chunk_results = resolved[cursor:cursor + len(jobs)]
-            cursor += len(jobs)
-            results.append(merge_job_results(jobs, chunk_results))
-        return results
+        flat = [job for jobs in self.plan_jobs(requests) for job in jobs]
+        return merge_requests(flat, self.run_jobs(flat))

@@ -25,10 +25,10 @@ Modules: :mod:`~repro.service.protocol` (wire job specs ↔ runtime jobs),
 :mod:`~repro.service.state` (endpoint + ticket-state files, atomic writes),
 :mod:`~repro.service.server` (the asyncio front door; not imported here, so
 only ``msropm serve`` loads ``asyncio``),
-:mod:`~repro.service.client` (the stdlib client the CLI wraps).
+:mod:`~repro.service.client` (the stdlib client the CLI wraps; not imported
+here either, so only the ``client`` commands load ``http.client``).
 """
 
-from repro.service.client import ServiceClient, ServiceError, discover_endpoint
 from repro.service.protocol import PROTOCOL_VERSION, build_jobs
 from repro.service.ratelimit import RateLimiter
 from repro.service.state import ServiceState
@@ -36,9 +36,6 @@ from repro.service.state import ServiceState
 __all__ = [
     "PROTOCOL_VERSION",
     "RateLimiter",
-    "ServiceClient",
-    "ServiceError",
     "ServiceState",
     "build_jobs",
-    "discover_endpoint",
 ]

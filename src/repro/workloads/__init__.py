@@ -6,7 +6,8 @@ scenarios — behind one registry of :class:`WorkloadFamily` entries, each
 expanding to content-addressed :class:`repro.runtime.jobs.GraphSpec` values
 the runtime schedules and caches by.  ``msropm workloads list/show`` inspects
 the zoo; ``msropm scenarios`` and
-:func:`repro.experiments.scenario_matrix.run_scenario_matrix` run it.
+``run_experiment("scenarios", ...)`` (:mod:`repro.experiments.scenario_matrix`)
+run it.
 """
 
 from repro.workloads.registry import (

@@ -195,7 +195,7 @@ def _toy_campaign(tmp_path: Path, fast_config: MSROPMConfig) -> CampaignSpec:
             )
         ]
 
-    def reduce_report(context, results):
+    def reduce_report(context, jobs, results):
         first = context.outputs["first"][0]
         second = context.outputs["second"][0]
         return [list(first.accuracies), list(second.accuracies)]
@@ -433,14 +433,14 @@ class TestBaselineJobs:
         assert first == second
 
     def test_matrix_with_sharded_baselines_matches_serial(self, fast_config):
-        from repro.experiments.scenario_matrix import run_scenario_matrix
+        from repro.experiments.protocol import run_experiment
 
         kwargs = dict(
             families=["dimacs", "maxcut"], iterations=2, seed=3, config=fast_config,
             baselines=("sa", "roim", "single_stage"),
         )
-        serial = run_scenario_matrix(runner=ExperimentRunner(workers=1), **kwargs)
-        parallel = run_scenario_matrix(runner=ExperimentRunner(workers=2), **kwargs)
+        serial = run_experiment("scenarios", kwargs, ExperimentRunner(workers=1))
+        parallel = run_experiment("scenarios", kwargs, ExperimentRunner(workers=2))
         assert serial.render() == parallel.render()
         for a, b in zip(serial.rows, parallel.rows):
             assert a.baselines == b.baselines
@@ -544,12 +544,12 @@ class TestWeightedMaxcut:
         assert completed.stdout.strip() == expected
 
     def test_scenario_accuracies_bounded_by_upper_bound_reference(self, fast_config):
-        from repro.experiments.scenario_matrix import run_scenario_matrix
+        from repro.experiments.protocol import run_experiment
 
-        result = run_scenario_matrix(
+        result = run_experiment("scenarios", dict(
             families=["wmaxcut"], iterations=2, seed=6, config=fast_config,
             baselines=("sa", "roim"),
-        )
+        ))
         assert result.rows
         for row in result.rows:
             assert row.kind == "maxcut"
@@ -572,12 +572,12 @@ class TestKColorFamilies:
             assert config.num_stages == stages
 
     def test_solves_through_scenarios(self, fast_config):
-        from repro.experiments.scenario_matrix import run_scenario_matrix
+        from repro.experiments.protocol import run_experiment
 
-        result = run_scenario_matrix(
+        result = run_experiment("scenarios", dict(
             families=["kcolor8", "kcolor16"], iterations=1, seed=2,
             config=fast_config, baselines=("sa",),
-        )
+        ))
         by_family = {row.family: row for row in result.rows}
         assert by_family["kcolor8"].num_colors == 8
         assert by_family["kcolor16"].num_colors == 16
@@ -646,12 +646,12 @@ class TestScenariosCampaign:
 
     def test_unknown_params_rejected(self, tmp_path):
         """A flag the campaign would silently ignore must fail loudly."""
-        with pytest.raises(CampaignError, match="does not accept parameter"):
+        with pytest.raises(ConfigurationError, match="does not accept parameter"):
             run_campaign(
                 get_campaign("scenarios"), {"scale": 0.5, "seed": 1},
                 runner=ExperimentRunner(),
             )
-        with pytest.raises(CampaignError, match="does not accept parameter"):
+        with pytest.raises(ConfigurationError, match="does not accept parameter"):
             run_campaign(
                 get_campaign("suite"), {"families": ["er"], "seed": 1},
                 runner=ExperimentRunner(),

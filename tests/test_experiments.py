@@ -20,9 +20,8 @@ from repro.experiments import (
     power_scaling_series,
     render_figure3,
     render_figure5,
+    run_experiment,
     run_figure3,
-    run_figure5,
-    run_table1,
     run_table2,
     scaled_iterations,
     scaled_problem,
@@ -86,7 +85,7 @@ class TestFigure3:
 
 class TestFigure5:
     def test_scaled_run_structure(self, fast_config):
-        result = run_figure5(sizes=(49,), iterations=4, scale=0.5, config=fast_config, seed=11)
+        result = run_experiment("fig5", dict(sizes=(49,), iterations=4, scale=0.5, config=fast_config, seed=11))
         series = result.by_size(49)
         assert series.coloring_accuracies.shape == (4,)
         assert series.maxcut_accuracies.shape == (4,)
@@ -95,7 +94,7 @@ class TestFigure5:
         assert series.best_accuracy >= series.mean_accuracy
 
     def test_render_contains_all_panels(self, fast_config):
-        result = run_figure5(sizes=(49,), iterations=3, scale=0.3, config=fast_config, seed=12)
+        result = run_experiment("fig5", dict(sizes=(49,), iterations=3, scale=0.3, config=fast_config, seed=12))
         text = render_figure5(result)
         assert "Figure 5(a)" in text
         assert "Figure 5(b)" in text
@@ -109,7 +108,7 @@ class TestFigure5:
 
 class TestTable1:
     def test_scaled_rows(self, fast_config):
-        result = run_table1(sizes=(49, 400), iterations=3, scale=0.3, config=fast_config, seed=13)
+        result = run_experiment("table1", dict(sizes=(49, 400), iterations=3, scale=0.3, config=fast_config, seed=13))
         assert len(result.rows) == 2
         first = result.rows[0]
         assert first.search_space_text() == "4^49"
@@ -121,7 +120,7 @@ class TestTable1:
         assert "4^400" in text
 
     def test_power_comparison_available(self, fast_config):
-        result = run_table1(sizes=(49,), iterations=2, scale=0.3, config=fast_config, seed=14)
+        result = run_experiment("table1", dict(sizes=(49,), iterations=2, scale=0.3, config=fast_config, seed=14))
         comparison = result.paper_power_comparison()
         assert 49 in comparison
         assert comparison[49]["paper_mw"] == PAPER_POWER_MW[49]

@@ -9,10 +9,12 @@ imported inside the function that needs them, as
 imported only by ``msropm serve``.  The circuit modules listed here were
 deleted and must stay gone.
 
-A solver process that never speaks HTTP (perfbench's ``paper-*`` workloads
-import ``repro.runtime.runner`` and nothing else of the program) loads no
-HTTP stack: ``urllib.request`` is imported inside ``WebhookSink``, and with
-it ``http.client`` and ``ssl``.
+A process that never speaks HTTP loads no HTTP stack: ``urllib.request`` is
+imported inside ``WebhookSink``, and with it ``http.client`` and ``ssl``;
+``repro.service`` does not re-export its client, so only the ``client``
+commands load it.  That holds for ``import repro.cli`` and for solver
+processes that import ``repro.runtime.runner`` and nothing else of the
+program (perfbench's ``paper-*`` workloads).
 
 The check runs ``python -X importtime`` in a fresh interpreter and, on
 failure, names the import chain that first loaded the module.
@@ -39,6 +41,9 @@ FORBIDDEN = (
     "repro.circuit.readout",
     "repro.circuit.dff",
     "repro.circuit.shil",
+    "urllib.request",
+    "http.client",
+    "ssl",
 )
 
 #: Modules a fresh ``import repro.runtime.runner`` must not load.

@@ -362,7 +362,7 @@ def _record_campaign(tmp_path, sinks=None):
                 name="second", plan=lambda context: [AddJob(5, 6)], requires=("first",)
             ),
         ),
-        param_names=(),
+        params=(),
     )
     ledger = RunLedger(tmp_path / "campaigns")
     runner = ExperimentRunner(cache_dir=tmp_path)

@@ -17,10 +17,10 @@ import sys
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.experiments.protocol import run_experiment
 from repro.experiments.scenario_matrix import (
     SCENARIO_BASELINES,
     plan_scenario_requests,
-    run_scenario_matrix,
 )
 from repro.runtime.jobs import DimacsGraphSpec, GeneratedGraphSpec, KingsGraphSpec, SolveJob
 from repro.runtime.runner import ExperimentRunner
@@ -225,21 +225,21 @@ class TestScenarioMatrix:
             config=fast_config,
             baselines=("sa",),
         )
-        serial = run_scenario_matrix(runner=ExperimentRunner(workers=1), **kwargs)
-        parallel = run_scenario_matrix(runner=ExperimentRunner(workers=2), **kwargs)
+        serial = run_experiment("scenarios", kwargs, ExperimentRunner(workers=1))
+        parallel = run_experiment("scenarios", kwargs, ExperimentRunner(workers=2))
         assert serial.render() == parallel.render()
         for a, b in zip(serial.rows, parallel.rows):
             assert a.msropm_accuracies == b.msropm_accuracies
             assert a.baselines == b.baselines
 
     def test_matrix_covers_kinds_and_baseline_applicability(self, fast_config):
-        result = run_scenario_matrix(
+        result = run_experiment("scenarios", dict(
             families=["dimacs", "maxcut"],
             iterations=2,
             seed=3,
             config=fast_config,
             baselines=SCENARIO_BASELINES,
-        )
+        ))
         by_kind = {row.kind: row for row in result.rows}
         assert set(by_kind) == {"coloring", "maxcut"}
         coloring, maxcut = by_kind["coloring"], by_kind["maxcut"]
@@ -252,17 +252,19 @@ class TestScenarioMatrix:
 
     def test_unknown_baseline_rejected(self, fast_config):
         with pytest.raises(ConfigurationError, match="unknown baseline"):
-            run_scenario_matrix(families=["dimacs"], config=fast_config, baselines=("sota",))
+            run_experiment(
+                "scenarios", dict(families=["dimacs"], config=fast_config, baselines=("sota",))
+            )
 
     def test_warm_runner_skips_all_solves(self, fast_config, tmp_path):
         kwargs = dict(
             families=["dimacs"], iterations=2, seed=4, config=fast_config, baselines=()
         )
-        cold = run_scenario_matrix(
-            runner=ExperimentRunner(cache_dir=tmp_path / "cache"), **kwargs
+        cold = run_experiment(
+            "scenarios", kwargs, ExperimentRunner(cache_dir=tmp_path / "cache")
         )
-        warm = run_scenario_matrix(
-            runner=ExperimentRunner(cache_dir=tmp_path / "cache"), **kwargs
+        warm = run_experiment(
+            "scenarios", kwargs, ExperimentRunner(cache_dir=tmp_path / "cache")
         )
         assert cold.runner_stats["jobs_run"] > 0
         assert warm.runner_stats["jobs_run"] == 0
