@@ -74,11 +74,12 @@ class MSROPMConfig:
         every replica reproducible bit-for-bit by a per-seed
         :meth:`repro.core.machine.MSROPM.run_iteration`.
         ``"throughput"`` trades bit-identity for speed — float32 phase state,
-        one batched noise stream for all replicas, moment-matched uniform
-        noise increments — while keeping the reported accuracy statistically
+        one batched noise stream for all replicas, two-point ``+-1`` noise
+        increments — while keeping the reported accuracy statistically
         equivalent (the contract the equivalence harness checks).  Both tiers
-        run every iteration of a solve as one batch on sparse CSR couplings;
-        the tier is the only execution choice a solve has.  It is part of the
+        run every iteration of a solve as one batch on sparse couplings (CSR,
+        or DIA for stage 2 on a banded graph, with identical bits); the tier
+        is the only execution choice a solve has.  It is part of the
         job content hash, so exact and throughput results never share cache
         entries.
     """

@@ -32,6 +32,7 @@ from repro.dynamics.batched import (
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
     ThroughputOscillatorModel,
+    band_offsets,
 )
 from repro.dynamics.integrators import (
     Trajectory,
@@ -100,6 +101,14 @@ def binarize_against_offsets(phases: np.ndarray, offsets: np.ndarray) -> np.ndar
     return ((relative > np.pi / 2.0) & (relative <= 3.0 * np.pi / 2.0)).astype(int)
 
 
+#: Fewest block-diagonal rows (``R * N``) for which the stage-2 operator of a
+#: banded graph runs the DIA kernel.  Below it CSR's short per-row add chains
+#: stay cache-resident and DIA's gated-off slots cost more than they save: on
+#: a 7x7 board with 40 replicas (1,960 rows) DIA was about 10% slower, at
+#: 3,920 rows 15% faster, and at 84,640 rows (46x46) 3-4x faster.
+DIA_MIN_ROWS = 3000
+
+
 class CouplingPlan:
     """Precompiled coupling state for one (problem, config) pair.
 
@@ -118,7 +127,14 @@ class CouplingPlan:
 
     Every operator the plan returns holds the canonical CSR that
     :func:`partition_coupling_matrix` builds for each replica, so each
-    replica's products are bit-identical to its own gated matvec.
+    replica's products are bit-identical to its own gated matvec.  Whether
+    the graph is banded is decided once here, from the edge table
+    (:func:`repro.dynamics.batched.band_offsets`): on a banded graph (a King's
+    board) a stage-2 operator of at least :data:`DIA_MIN_ROWS` rows applies
+    the same entries by scipy's DIA kernel, whose ascending-diagonal sweep
+    keeps CSR's per-row accumulation order and so its bits.  Stage 1's
+    shared operator stays CSR, where the multi-vector ``csr_matvecs`` kernel
+    is the faster one.
     """
 
     def __init__(
@@ -132,6 +148,7 @@ class CouplingPlan:
         self.num_oscillators = num_oscillators
         self.coupling_rate = coupling_rate
         self.dtype = np.dtype(dtype)
+        self.band = band_offsets(edge_index, num_oscillators)
         self._uniform_shared: Optional[FastSharedCoupling] = None
 
     def operator(self, group_values: np.ndarray) -> CouplingOperator:
@@ -158,9 +175,10 @@ class CouplingPlan:
                 ),
                 dtype=self.dtype,
             )
+        dia = self.band is not None and group_values.size >= DIA_MIN_ROWS
         return FastBlockDiagonalCoupling.from_group_values(
             self.edge_index, group_values, self.num_oscillators, self.coupling_rate,
-            dtype=self.dtype,
+            dtype=self.dtype, offsets=self.band if dia else None,
         )
 
 
@@ -171,7 +189,7 @@ class StageExecutor:
     Every caller goes through the one stage body of :meth:`run_stage` on a
     ``(R, N)`` phase array: :class:`repro.core.engine.BatchedEngine` with all
     iterations of a solve, :meth:`repro.core.machine.MSROPM.run_iteration` at
-    R=1, and the ROIM baseline.  Operators are always the sparse CSR ones of
+    R=1, and the ROIM baseline.  Operators are always the sparse ones of
     :class:`CouplingPlan`.
 
     Parameters

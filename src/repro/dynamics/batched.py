@@ -15,7 +15,8 @@ batched right-hand-side model that consumes them:
 * :class:`FastBlockDiagonalCoupling` — per-replica gated matrices stacked into
   one block-diagonal CSR, assembled by :func:`gated_block_diagonal_csr` (one
   ``lexsort`` instead of a per-replica ``sparse.block_diag`` loop); one
-  ``csr_matvec`` per field and evaluation.  Row-wise accumulation order
+  ``csr_matvec`` per field and evaluation, or one ``dia_matvec`` when the
+  graph is banded (:func:`band_offsets`).  Row-wise accumulation order
   matches the per-replica matvec exactly, so results are bit-identical to
   evaluating each replica on its own.
 
@@ -45,9 +46,11 @@ try:  # scipy's C kernels; the fast operators fall back to `@` without them
 
     _csr_matvec = _sparsetools.csr_matvec
     _csr_matvecs = _sparsetools.csr_matvecs
+    _dia_matvec = _sparsetools.dia_matvec
 except (ImportError, AttributeError):  # pragma: no cover - defensive
     _csr_matvec = None
     _csr_matvecs = None
+    _dia_matvec = None
 
 
 class CouplingOperator:
@@ -124,6 +127,25 @@ class FastSharedCoupling(CouplingOperator):
         return out[:, :replicas].T, out[:, replicas:].T
 
 
+def band_offsets(edge_index: np.ndarray, num_oscillators: int) -> Optional[np.ndarray]:
+    """The coupling matrix's diagonal offsets, ascending, if the graph is banded.
+
+    A symmetric coupling over ``edge_index`` stores ``2 E`` entries on the
+    diagonals ``+-(target - source)``.  The graph counts as banded when those
+    distinct diagonals, ``N`` slots each, hold at most twice the stored
+    entries, so a DIA matvec streams at most twice CSR's values and no column
+    indices.  King's boards qualify (8 diagonals); random, regular and DIMACS
+    graphs scatter their edges over far more diagonals and return ``None``.
+    """
+    if edge_index.size == 0:
+        return None
+    steps = edge_index[:, 1] - edge_index[:, 0]
+    offsets = np.unique(np.concatenate([steps, -steps]))
+    if offsets.size * num_oscillators > 4 * edge_index.shape[0]:
+        return None
+    return offsets
+
+
 def gated_block_diagonal_csr(
     edge_index: np.ndarray,
     group_values: np.ndarray,
@@ -175,17 +197,33 @@ def gated_block_diagonal_csr(
 
 
 class FastBlockDiagonalCoupling(CouplingOperator):
-    """Per-replica gated matrices evaluated as one block-diagonal CSR matvec.
+    """Per-replica gated matrices evaluated as one block-diagonal matvec.
 
     Row-wise accumulation matches each replica's own matvec, so results are
     bit-identical to evaluating the replicas separately.  Built via
     :meth:`from_group_values` (no per-replica Python loop); ``apply_pair``
-    drives the ``csr_matvec`` kernel once per field through reusable output
-    buffers, returning reshaped views that are valid until the next call.
+    drives a scipy kernel once per field through reusable output buffers,
+    returning reshaped views that are valid until the next call.
+
+    ``matrix`` is always the gated block-diagonal CSR.  Given the graph's
+    ascending diagonal ``offsets`` (:func:`band_offsets`, set only for banded
+    graphs), ``apply_pair`` runs ``dia_matvec`` over the same entries laid
+    out by diagonal instead of ``csr_matvec``: its inner loop runs down a
+    diagonal, independent rows side by side, where CSR's is one dependent
+    add chain per row.  The results are bit-identical.  Ascending offsets
+    visit each row's columns in CSR's sorted order, every output starts at
+    +0 (so no partial sum is ever -0), and a stored zero (a gated-off edge,
+    or a slot across a block boundary) adds +-0, which leaves every partial
+    sum unchanged.
     """
 
     def __init__(
-        self, matrix: sparse.csr_matrix, num_replicas: int, num_oscillators: int, dtype=float
+        self,
+        matrix: sparse.csr_matrix,
+        num_replicas: int,
+        num_oscillators: int,
+        dtype=float,
+        offsets: Optional[np.ndarray] = None,
     ) -> None:
         self._dtype = np.dtype(dtype)
         self.matrix = matrix.tocsr().astype(self._dtype)
@@ -198,6 +236,28 @@ class FastBlockDiagonalCoupling(CouplingOperator):
         self.num_oscillators = num_oscillators
         self._out_first: Optional[np.ndarray] = None
         self._out_second: Optional[np.ndarray] = None
+        self._offsets: Optional[np.ndarray] = None
+        self._diagonals: Optional[np.ndarray] = None
+        # Only a canonical CSR (sorted columns, no duplicates) accumulates in
+        # the order the diagonal sweep reproduces.
+        if offsets is not None and _dia_matvec is not None and self.matrix.has_canonical_format:
+            self._offsets, self._diagonals = self._diagonal_layout(
+                np.asarray(offsets, dtype=np.int64)
+            )
+
+    def _diagonal_layout(self, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``matrix`` as a ``(D, R*N)`` DIA table; entry ``(i, j)`` sits at
+        ``[d, j]`` with ``offsets[d] == j - i``."""
+        matrix = self.matrix
+        size = matrix.shape[0]
+        rows = np.repeat(np.arange(size, dtype=matrix.indices.dtype), np.diff(matrix.indptr))
+        steps = matrix.indices - rows
+        slot = np.searchsorted(offsets, steps)
+        if slot.size and (slot.max() >= offsets.size or np.any(offsets[slot] != steps)):
+            raise SimulationError("the coupling matrix has entries off the given diagonals")
+        diagonals = np.zeros((offsets.size, size), dtype=self._dtype)
+        diagonals[slot, matrix.indices] = matrix.data
+        return offsets.astype(matrix.indices.dtype), diagonals
 
     @classmethod
     def from_group_values(
@@ -207,12 +267,13 @@ class FastBlockDiagonalCoupling(CouplingOperator):
         num_oscillators: int,
         coupling_rate: float,
         dtype=float,
+        offsets: Optional[np.ndarray] = None,
     ) -> "FastBlockDiagonalCoupling":
         """Build the operator directly from the gating table (no block loop)."""
         matrix = gated_block_diagonal_csr(
             edge_index, group_values, num_oscillators, coupling_rate, dtype=dtype
         )
-        return cls(matrix, group_values.shape[0], num_oscillators, dtype=dtype)
+        return cls(matrix, group_values.shape[0], num_oscillators, dtype=dtype, offsets=offsets)
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         replicas, num = field.shape
@@ -230,32 +291,25 @@ class FastBlockDiagonalCoupling(CouplingOperator):
         if self._out_first is None or self._out_first.size != size:
             self._out_first = np.empty(size, dtype=self._dtype)
             self._out_second = np.empty(size, dtype=self._dtype)
-        matrix = self.matrix
-        out_first, out_second = self._out_first, self._out_second
-        out_first.fill(0.0)
-        out_second.fill(0.0)
         # One single-vector kernel call per field: per-row accumulation is
         # identical to the reference multivector product (columns of a
         # multivector matvec are independent).
-        _csr_matvec(
-            size,
-            size,
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            np.ascontiguousarray(first, dtype=self._dtype).reshape(size),
-            out_first,
-        )
-        _csr_matvec(
-            size,
-            size,
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            np.ascontiguousarray(second, dtype=self._dtype).reshape(size),
-            out_second,
-        )
-        return out_first.reshape(replicas, num), out_second.reshape(replicas, num)
+        self._matvec_into(first, self._out_first)
+        self._matvec_into(second, self._out_second)
+        return self._out_first.reshape(replicas, num), self._out_second.reshape(replicas, num)
+
+    def _matvec_into(self, field: np.ndarray, out: np.ndarray) -> None:
+        """``out = matrix @ field.ravel()`` by the DIA kernel if banded, else CSR."""
+        size = out.size
+        vector = np.ascontiguousarray(field, dtype=self._dtype).reshape(size)
+        out.fill(0.0)
+        if self._diagonals is not None:
+            _dia_matvec(
+                size, size, self._offsets.size, size, self._offsets, self._diagonals, vector, out
+            )
+        else:
+            matrix = self.matrix
+            _csr_matvec(size, size, matrix.indptr, matrix.indices, matrix.data, vector, out)
 
 
 @dataclass

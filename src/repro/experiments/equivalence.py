@@ -2,7 +2,7 @@
 
 The throughput precision tier (``MSROPMConfig.precision = "throughput"``)
 deliberately breaks the bit-identity contract — float32 state, one batched
-noise stream for all replicas, moment-matched uniform increments — in
+noise stream for all replicas, two-point ``+-1`` increments — in
 exchange for speed.  The claim that justifies it is *statistical* rather
 than bitwise: over an ensemble of runs, the accuracy distribution it
 produces is indistinguishable from the exact tier's.  This module is the

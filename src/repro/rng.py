@@ -85,24 +85,32 @@ class ReplicaRNG:
         shape = self._replica_shape(size)
         return np.stack([generator.uniform(low, high, size=shape) for generator in self.generators])
 
-    def noise_block(self, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+    def noise_block(
+        self, num_steps: int, shape: Tuple[int, ...], out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Standard-normal noise for ``num_steps`` integrator steps at once.
 
         ``shape`` is the batched state shape ``(R, N)``; the result has shape
         ``(num_steps, R, N)``.  Each replica's block is drawn in one chunked
         ``standard_normal`` call, which numpy guarantees to consume the stream
-        exactly like ``num_steps`` successive ``(N,)`` draws.
+        exactly like ``num_steps`` successive ``(N,)`` draws.  ``out``, a block
+        an earlier call returned, is refilled in place (see
+        :func:`normal_noise_block`).
         """
         if num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {num_steps}")
         per_replica = self._replica_shape(shape)
-        # Draw straight into one (R, num_steps, N) buffer — each replica's
-        # slice is contiguous, so the generator fills it like a chunked draw —
-        # then hand back a transposed *view*; no transposed copy is ever made.
-        block = np.empty((self.num_replicas, num_steps) + per_replica, dtype=float)
+        if out is None:
+            # One (R, num_steps, N) buffer handed back as a transposed *view*:
+            # each replica's slice is contiguous, so the generator fills it
+            # like a chunked draw, and no transposed copy is ever made.
+            block = np.empty((self.num_replicas, num_steps) + per_replica, dtype=float)
+            block = block.swapaxes(0, 1)
+        else:
+            block = _refill_target(out, (num_steps, self.num_replicas) + per_replica)
         for replica, generator in enumerate(self.generators):
-            generator.standard_normal(out=block[replica])
-        return block.swapaxes(0, 1)
+            generator.standard_normal(out=block[:, replica])
+        return block
 
 
 class ThroughputRNG:
@@ -118,11 +126,13 @@ class ThroughputRNG:
     own stream positions, so results are not invariant under replica
     re-chunking.
 
-    Noise blocks contain *moment-matched uniform* increments
-    ``(2u - 1) * sqrt(3)`` (mean 0, variance 1) instead of Gaussians: for the
-    weak Euler–Maruyama convergence the solver relies on, only the first two
-    moments of the per-step increment matter, and uniform float32 draws are
-    several times cheaper than per-replica float64 Gaussians.
+    Noise blocks contain *two-point* increments ``+-1``, one raw generator
+    bit each, instead of Gaussians.  They have mean 0, variance 1 and third
+    moment 0, which is all the weak order-1 Euler–Maruyama convergence the
+    solver relies on asks of a per-step increment (the simplified weak Euler
+    scheme, Kloeden & Platen 1992, §14.1), and 64 of them come from one
+    64-bit word, where a float32 Gaussian or uniform costs a word or half a
+    word each.
 
     The class quacks like :class:`ReplicaRNG` for the draw methods the solver
     uses (``standard_normal``, ``normal``, ``uniform``, ``noise_block``), with
@@ -193,37 +203,62 @@ class ThroughputRNG:
                 np.add(draw, np.float32(low), out=draw)
         return draw
 
-    def noise_block(self, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+    def noise_block(
+        self, num_steps: int, shape: Tuple[int, ...], out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Unit-variance float32 noise for ``num_steps`` integrator steps.
 
         Shape ``(num_steps, R, N)`` like :meth:`ReplicaRNG.noise_block`, but
-        filled in one batched float32 ``random`` call and transformed to
-        moment-matched uniform increments ``(2u - 1) * sqrt(3)``.
+        every value is a two-point increment ``+-1``: one bit of the raw
+        64-bit generator words, unpacked and mapped ``b -> 2b - 1``.  ``out``,
+        a block an earlier call returned, is refilled in place (see
+        :func:`normal_noise_block`).
         """
         if num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-        per_replica = self._replica_shape(shape)
-        block = self.generator.random(
-            (num_steps, self.num_replicas) + per_replica, dtype=np.float32
-        )
-        # (2u - 1) * sqrt(3): mean 0, variance 1 — a weak-order-equivalent
-        # substitute for the standard normal per-step increment.
-        np.multiply(block, np.float32(2.0 * np.sqrt(3.0)), out=block)
-        np.subtract(block, np.float32(np.sqrt(3.0)), out=block)
+        block_shape = (num_steps, self.num_replicas) + self._replica_shape(shape)
+        count = int(np.prod(block_shape))
+        words = self.generator.bit_generator.random_raw(-(-count // 64))
+        # Map in int8 and convert once: one float32 pass instead of three.
+        signs = np.unpackbits(words.view(np.uint8), count=count).view(np.int8)
+        np.multiply(signs, 2, out=signs)
+        np.subtract(signs, 1, out=signs)
+        if out is None:
+            return signs.astype(np.float32).reshape(block_shape)
+        block = _refill_target(out, block_shape)
+        np.copyto(block, signs.reshape(block_shape))
         return block
 
 
-def normal_noise_block(rng: SeedLike, num_steps: int, shape: Tuple[int, ...]) -> np.ndarray:
+def _refill_target(out: np.ndarray, block_shape: Tuple[int, ...]) -> np.ndarray:
+    """The leading ``block_shape[0]`` steps of ``out``, an earlier noise block."""
+    if out.shape[1:] != block_shape[1:] or out.shape[0] < block_shape[0]:
+        raise ValueError(f"cannot refill a noise block of shape {out.shape} as {block_shape}")
+    return out[: block_shape[0]]
+
+
+def normal_noise_block(
+    rng: SeedLike, num_steps: int, shape: Tuple[int, ...], out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Draw ``(num_steps,) + shape`` unit-variance noise from ``rng``.
 
     For a plain generator this is one chunked draw (bit-identical to
     ``num_steps`` successive ``shape`` draws); for a :class:`ReplicaRNG` the
     block is assembled from the per-replica streams.  A :class:`ThroughputRNG`
-    returns float32 moment-matched uniform increments instead of Gaussians.
+    returns float32 two-point ``+-1`` increments instead of Gaussians.
+
+    ``out`` may be a block an earlier call on the same ``rng`` returned, at
+    least ``num_steps`` long: the draw then refills its leading steps in
+    place and returns them, with the values a fresh block would hold.  A
+    caller drawing block after block thus reuses one buffer instead of
+    allocating (and page-faulting) a new one each time.
     """
     if isinstance(rng, (ReplicaRNG, ThroughputRNG)):
-        return rng.noise_block(num_steps, shape)
-    return make_rng(rng).standard_normal((num_steps,) + tuple(shape))
+        return rng.noise_block(num_steps, shape, out=out)
+    block_shape = (num_steps,) + tuple(shape)
+    if out is None:
+        return make_rng(rng).standard_normal(block_shape)
+    return make_rng(rng).standard_normal(out=_refill_target(out, block_shape))
 
 
 def make_rng(seed: SeedLike = None) -> Union[np.random.Generator, "ReplicaRNG", "ThroughputRNG"]:

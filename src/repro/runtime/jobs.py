@@ -57,8 +57,10 @@ from repro.graphs.graph import Graph
 #: workload therefore hash differently and can never share a cache entry.
 #: 4 — the engine and coupling-backend fields left ``MSROPMConfig`` (every
 #: solve runs one batched sparse path per tier), so the hashed config lost
-#: two fields.
-JOB_SCHEMA_VERSION = 4
+#: two fields.  5 — the throughput tier's noise increments became two-point
+#: ``+-1`` draws in smaller blocks, so its results changed; exact results did
+#: not, but one version covers every job kind.
+JOB_SCHEMA_VERSION = 5
 
 
 def _sha256_text(text: str) -> str:

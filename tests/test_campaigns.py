@@ -620,10 +620,10 @@ class TestRawStage1Accuracy:
 
         # Raw accuracies bumped these to 2/3; the precision tier bumped them
         # again (tier in the job hash, metadata in the payload); the compact
-        # array layout bumped the results format once more, and dropping the
+        # array layout bumped the results format once more, dropping the
         # engine/coupling-backend fields from the hashed config bumped the job
-        # schema to 4.
-        assert JOB_SCHEMA_VERSION == 4
+        # schema to 4, and the throughput tier's two-point noise to 5.
+        assert JOB_SCHEMA_VERSION == 5
         assert FORMAT_VERSION == 5
 
 

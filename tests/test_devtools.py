@@ -424,7 +424,7 @@ def _add_hashed_field(root: Path, bump_version: bool) -> None:
     assert source.count(_ANCHOR) == 1
     source = source.replace(_ANCHOR, f"new_knob: int = 7\n    {_ANCHOR}")
     if bump_version:
-        source = source.replace("JOB_SCHEMA_VERSION = 4", "JOB_SCHEMA_VERSION = 5")
+        source = source.replace("JOB_SCHEMA_VERSION = 5", "JOB_SCHEMA_VERSION = 6")
     jobs_path.write_text(source, encoding="utf-8")
 
 
@@ -439,7 +439,7 @@ class TestSchemaManifest:
         assert "job_schema" in solve["describe_keys"]
         assert "precision" in manifest["surfaces"]["msropm_config"]["fields"]
         assert "KingsGraphSpec" in manifest["surfaces"]["graph_specs"]["classes"]
-        assert manifest["versions"]["JOB_SCHEMA_VERSION"] == 4
+        assert manifest["versions"]["JOB_SCHEMA_VERSION"] == 5
 
     def test_field_addition_without_bump_fails_lint(self, tmp_path):
         root = _copy_schema_sources(tmp_path)

@@ -7,8 +7,9 @@ reference:
   the original allocating loops (including the chunked noise stream),
 * the final-state integrator entry points against the recording variants,
 * the precompiled coupling operators (direct ``csr_matvec(s)`` kernels,
-  vectorized block-diagonal construction) against scipy's own products and
-  the per-replica ``block_diag`` construction,
+  vectorized block-diagonal construction, the DIA kernel on banded graphs)
+  against scipy's own products, the per-replica ``block_diag`` construction
+  and the CSR kernel,
 * the batched solve against the per-seed R=1 ``run_iteration`` reference
   (the results of the deleted legacy engine body are pinned by
   ``test_golden_digests.py``),
@@ -24,16 +25,26 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.core import MSROPM, MSROPMConfig
 from repro.core.config import TimingPlan
-from repro.core.stages import CouplingPlan, StageExecutor, partition_coupling_matrix
+from repro.core import stages
+from repro.core.stages import (
+    DIA_MIN_ROWS,
+    CouplingPlan,
+    StageExecutor,
+    partition_coupling_matrix,
+)
 from repro.dynamics import integrators
+from repro.graphs.generators import kings_graph
 from repro.dynamics.batched import (
     BatchedOscillatorModel,
     FastBlockDiagonalCoupling,
     FastSharedCoupling,
+    band_offsets,
     gated_block_diagonal_csr,
 )
 from repro.dynamics.integrators import (
@@ -44,7 +55,7 @@ from repro.dynamics.integrators import (
     rk4_final,
 )
 from repro.dynamics.kuramoto import CoupledOscillatorModel
-from repro.rng import ReplicaRNG, iteration_seeds, make_rng, normal_noise_block
+from repro.rng import ReplicaRNG, ThroughputRNG, iteration_seeds, make_rng, normal_noise_block
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import (
     MACHINE_MEMO_STATS,
@@ -146,6 +157,38 @@ def batched_model(graph, config, groups=None, shil=False):
 
 
 class TestIntegratorBitIdentity:
+    @pytest.mark.parametrize("kind", ["generator", "replica", "throughput"])
+    def test_refilled_noise_blocks_match_fresh_ones(self, kings_5x5, fast_config, kind, monkeypatch):
+        model = batched_model(kings_5x5, fast_config)
+        replicas, num = 3, kings_5x5.num_nodes
+        start = np.linspace(0.0, 2.0, replicas * num).reshape(replicas, num)
+        duration, dt = ns(6.0), fast_config.time_step
+        num_steps = int(np.ceil(duration / dt))
+        assert num_steps >= 9
+        # Three blocks per interval, the last one shorter: two refills.
+        monkeypatch.setattr(
+            integrators, "_NOISE_BLOCK_ELEMENTS", (num_steps // 3 + 1) * replicas * num
+        )
+
+        def solve():
+            seed = {
+                "generator": 11,
+                "replica": ReplicaRNG.from_seeds([4, 5, 6]),
+                "throughput": ThroughputRNG([4, 5, 6]),
+            }[kind]
+            return euler_maruyama_final(
+                model, start, duration, dt,
+                noise_amplitude=fast_config.phase_noise_diffusion, seed=seed,
+            )
+
+        refilled = solve()
+        draw = integrators.normal_noise_block
+        monkeypatch.setattr(
+            integrators, "normal_noise_block",
+            lambda rng, steps, shape, out=None: draw(rng, steps, shape),
+        )
+        assert np.array_equal(refilled, solve())
+
     def test_euler_maruyama_matches_reference_batched(self, kings_5x5, fast_config):
         replicas = 6
         model = batched_model(kings_5x5, fast_config)
@@ -288,6 +331,66 @@ class TestFastOperators:
             assert np.array_equal(block @ second[replica], fast_second[replica])
             assert np.array_equal(block @ field[replica], applied[replica])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(3, 12),
+        cols=st.integers(3, 12),
+        replicas=st.integers(1, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        gating=st.sampled_from(["random", "all-off", "single-group"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dia_path_matches_csr_bit_for_bit(self, rows, cols, replicas, dtype, gating, seed):
+        graph = kings_graph(rows, cols)
+        edge_index, num = graph.edge_index_array(), graph.num_nodes
+        plan = CouplingPlan(edge_index, num, 1.7e9, dtype=dtype)
+        assert plan.band is not None  # every King's board of 3+ rows and columns is banded
+        rng = make_rng(seed)
+        if gating == "random":
+            groups = rng.integers(0, 2, size=(replicas, num))
+        elif gating == "all-off":
+            groups = np.tile(np.arange(num), (replicas, 1))  # no edge joins one group
+        else:
+            groups = np.zeros((replicas, num), dtype=int)
+        args = (edge_index, groups, num, 1.7e9)
+        dia = FastBlockDiagonalCoupling.from_group_values(*args, dtype=dtype, offsets=plan.band)
+        csr = FastBlockDiagonalCoupling.from_group_values(*args, dtype=dtype)
+        assert dia._diagonals is not None and csr._diagonals is None
+        assert (dia.matrix != csr.matrix).nnz == 0  # `.matrix` stays the gated CSR
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        first = rng.uniform(-1.0, 1.0, size=(replicas, num)).astype(dtype)
+        second = rng.uniform(-1.0, 1.0, size=(replicas, num)).astype(dtype)
+        for _ in range(2):  # the reused output buffers start over on every call
+            expected = [np.array(part) for part in csr.apply_pair(first, second)]
+            got = [np.array(part) for part in dia.apply_pair(first, second)]
+            for want, have in zip(expected, got):
+                assert np.array_equal(want.view(bits), have.view(bits))
+
+    def test_plan_runs_dia_only_on_large_banded_operators(self):
+        graph = kings_graph(12, 12)
+        plan = CouplingPlan(graph.edge_index_array(), graph.num_nodes, 1e9)
+        rng = make_rng(4)
+        for replicas in (8, 30):
+            groups = rng.integers(0, 2, size=(replicas, graph.num_nodes))
+            operator = plan.operator(groups)
+            large = groups.size >= DIA_MIN_ROWS
+            assert (operator._diagonals is not None) == large, replicas
+        assert 8 * graph.num_nodes < DIA_MIN_ROWS <= 30 * graph.num_nodes
+
+    def test_unbanded_graphs_stay_on_csr(self):
+        for family, label in (("er", "er-n24-p0.3"), ("dimacs", "myciel5")):
+            instance = next(
+                item for item in expand_workloads([family], base_seed=2)
+                if item.label.startswith(label)
+            )
+            graph = instance.build()
+            edge_index = graph.edge_index_array()
+            assert band_offsets(edge_index, graph.num_nodes) is None
+            replicas = DIA_MIN_ROWS // graph.num_nodes + 1  # large enough for DIA
+            groups = make_rng(0).integers(0, 2, size=(replicas, graph.num_nodes))
+            operator = CouplingPlan(edge_index, graph.num_nodes, 1e9).operator(groups)
+            assert operator._diagonals is None
+
     def test_plan_reuses_uniform_operator(self, kings_5x5):
         plan = CouplingPlan(kings_5x5.edge_index_array(), kings_5x5.num_nodes, 1e9)
         groups = np.zeros((4, kings_5x5.num_nodes), dtype=int)
@@ -341,6 +444,27 @@ class TestFastEngine:
             fast.iterations[-1].stage_results[-1].final_phases,
             sequential[-1].stage_results[-1].final_phases,
         )
+
+    @pytest.mark.parametrize("precision", ["exact", "throughput"])
+    def test_dia_stage_two_leaves_solves_unchanged(self, fast_config, precision, monkeypatch):
+        graph = kings_graph(12, 12)
+        config = fast_config.with_updates(precision=precision)
+        iterations = DIA_MIN_ROWS // graph.num_nodes + 1
+        layouts = []
+        layout = FastBlockDiagonalCoupling._diagonal_layout
+        monkeypatch.setattr(
+            FastBlockDiagonalCoupling, "_diagonal_layout",
+            lambda self, offsets: layouts.append(1) or layout(self, offsets),
+        )
+        dia = MSROPM(graph, config).solve(iterations=iterations, seed=3)
+        assert layouts  # stage 2 ran the DIA kernel
+        monkeypatch.setattr(stages, "DIA_MIN_ROWS", 10**9)
+        csr = MSROPM(graph, config).solve(iterations=iterations, seed=3)
+        assert len(layouts) == 1
+        for dia_item, csr_item in zip(dia.iterations, csr.iterations):
+            assert np.array_equal(
+                dia_item.stage_results[-1].final_phases, csr_item.stage_results[-1].final_phases
+            )
 
     def test_default_solve_materializes_no_trajectory(self, kings_5x5, fast_config, monkeypatch):
         created = []

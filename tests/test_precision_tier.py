@@ -4,7 +4,7 @@ Covered here:
 
 * configuration validation of ``MSROPMConfig.precision``,
 * the :class:`~repro.rng.ThroughputRNG` batched-stream RNG (shapes, dtype,
-  moment matching, determinism),
+  two-point noise increments and their moments, determinism),
 * the throughput solve path itself: it runs, is deterministic per seed,
   records its provenance metadata, leaves the exact tier bit-identical, and
   is refused by the exact-only per-seed ``run_iteration`` reference,
@@ -80,11 +80,18 @@ class TestThroughputRNG:
         block = normal_noise_block(rng, 4000, (1, 50))
         assert block.shape == (4000, 1, 50)
         assert block.dtype == np.float32
-        # Moment-matched uniform increments: mean 0, unit variance.
+        # Two-point increments: every value is exactly -1 or +1 ...
+        assert np.all((block == 1.0) | (block == -1.0))
+        # ... with mean 0 and unit variance.
         assert abs(float(block.mean())) < 0.01
         assert abs(float(block.var()) - 1.0) < 0.01
-        # Bounded support is the tell of the uniform relaxation.
-        assert float(np.abs(block).max()) <= np.sqrt(3.0) + 1e-6
+
+    def test_noise_block_deterministic_per_seed_list(self):
+        first = ThroughputRNG([3, 4, 5]).noise_block(7, (3, 21))
+        again = ThroughputRNG([3, 4, 5]).noise_block(7, (3, 21))
+        assert np.array_equal(first, again)
+        other = ThroughputRNG([3, 4, 6]).noise_block(7, (3, 21))
+        assert not np.array_equal(first, other)
 
     def test_uniform_range(self):
         sample = ThroughputRNG([2]).uniform(1.0, 3.0, size=1000)
